@@ -1,65 +1,39 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels in plain numpy.
 
 Three inner loops dominate runtime: advancing the binary chain one step at a
 time, the fused Bernoulli log-likelihood / residual pass inside the solver,
 and the lagged quadratic form evaluated per replicate in the concentration
-trials. Each kernel exists twice, once compiled with ``numba.njit`` and once
-in plain numpy. The active backend is chosen at import time: numba when it
-imports cleanly and the environment variable ``MBP_NUMBA`` is not ``"0"``,
-numpy otherwise. ``benchmarks/bench_kernels.py`` times the two side by side.
-
-All kernels consume pre-drawn uniform variates and deterministic inputs, so
-each backend is reproducible on its own; the two backends agree to floating
-point roundoff (bit-exactly for the chain whenever their ``exp`` agrees).
+trials. All kernels consume pre-drawn uniform variates and deterministic
+inputs, so each is reproducible given its seed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
+from .link import sigmoid
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("MBP_NUMBA", "1") != "0"
-
-__all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
-    "backend_name",
-    "chain_steps",
-    "bernoulli_loss_terms",
-    "lagged_square_sum",
-]
+__all__ = ["chain_steps", "bernoulli_loss_terms", "lagged_square_sum"]
 
 
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+def chain_steps(init_hist, stacked, alpha, eps, uniforms):
+    """Advance the chain one Bernoulli draw per (step, coordinate).
 
-
-# ---------------------------------------------------------------------------
-# chain advance: states[t] ~ Ber(clip(sigmoid(alpha * W h_t), eps, 1-eps))
-# with h_t the flattened lag window [x^{t-1}; x^{t-2}; ...; x^{t-p}].
-# ---------------------------------------------------------------------------
-
-
-def _chain_steps_numpy(init_hist, stacked, alpha, eps, uniforms):
-    p, n_dims = init_hist.shape
-    n_steps = uniforms.shape[0]
-    states = np.empty((n_steps, n_dims), dtype=np.uint8)
+    ``init_hist`` is the (p, N) binary start window with the oldest state in
+    row 0, ``stacked`` the (N, N p) stacked tensor, ``uniforms`` the (T, N)
+    pre-drawn variates consumed in (t, i) order. Each draw is
+    Ber(clip(sigmoid(alpha * W h_t), eps, 1 - eps)) with h_t the flattened
+    lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, N) uint8 states.
+    """
+    stacked = np.ascontiguousarray(stacked, dtype=np.float64)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    alpha, lo, hi = float(alpha), float(eps), 1.0 - float(eps)
+    p, n_dims = np.shape(init_hist)
+    states = np.empty((uniforms.shape[0], n_dims), dtype=np.uint8)
     # lag window ordered most recent block first, matching the stacked tensor
-    h = init_hist[::-1].astype(np.float64).ravel()
-    lo, hi = eps, 1.0 - eps
-    for t in range(n_steps):
-        u = alpha * (stacked @ h)
-        z = np.where(u >= 0, 1.0 / (1.0 + np.exp(-u)), np.exp(u) / (1.0 + np.exp(u)))
-        z = np.clip(z, lo, hi)
+    h = np.asarray(init_hist)[::-1].astype(np.float64).ravel()
+    for t in range(uniforms.shape[0]):
+        z = np.clip(sigmoid(alpha * (stacked @ h)), lo, hi)
         x = (uniforms[t] < z).astype(np.uint8)
         states[t] = x
         if p > 1:
@@ -68,53 +42,18 @@ def _chain_steps_numpy(init_hist, stacked, alpha, eps, uniforms):
     return states
 
 
-def _chain_steps_impl(init_hist, stacked, alpha, eps, uniforms):
-    p, n_dims = init_hist.shape
-    n_steps = uniforms.shape[0]
-    np_cols = stacked.shape[1]
-    states = np.empty((n_steps, n_dims), dtype=np.uint8)
-    h = np.empty(np_cols, dtype=np.float64)
-    for u_lag in range(p):
-        for i in range(n_dims):
-            h[u_lag * n_dims + i] = init_hist[p - 1 - u_lag, i]
-    lo = eps
-    hi = 1.0 - eps
-    for t in range(n_steps):
-        for i in range(n_dims):
-            acc = 0.0
-            for c in range(np_cols):
-                acc += stacked[i, c] * h[c]
-            v = alpha * acc
-            if v >= 0.0:
-                z = 1.0 / (1.0 + np.exp(-v))
-            else:
-                ev = np.exp(v)
-                z = ev / (1.0 + ev)
-            if z < lo:
-                z = lo
-            elif z > hi:
-                z = hi
-            states[t, i] = 1 if uniforms[t, i] < z else 0
-        for c in range(np_cols - 1, n_dims - 1, -1):
-            h[c] = h[c - n_dims]
-        for i in range(n_dims):
-            h[i] = states[t, i]
-    return states
+def bernoulli_loss_terms(pred, targets, alpha, eps, want_residual=True):
+    """Summed Bernoulli NLL (and optionally the residual matrix) at predictors.
 
-
-# ---------------------------------------------------------------------------
-# fused loss pass: given predictors U (n, N) and binary targets Y, produce the
-# summed negative log-likelihood and the residual matrix whose (t, i) entry is
-# ((1-y)/(1-z) - y/z) * f'(u) with z the clamped probability.
-# ---------------------------------------------------------------------------
-
-
-def _bernoulli_loss_terms_numpy(pred, targets, alpha, eps, want_residual):
-    pos = pred >= 0
-    s = np.empty_like(pred)
-    s[pos] = 1.0 / (1.0 + np.exp(-alpha * pred[pos]))
-    ev = np.exp(alpha * pred[~pos])
-    s[~pos] = ev / (1.0 + ev)
+    Given predictors U (n, N) and binary targets Y, the probability is the
+    clamped sigmoid z; the residual's (t, i) entry is
+    ((1-y)/(1-z) - y/z) * f'(u), using the smooth sigmoid derivative so it
+    matches the analytic gradient formula. Returns ``(loss, resid or None)``.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    alpha = float(alpha)
+    s = sigmoid(alpha * pred)
     z = np.clip(s, eps, 1.0 - eps)
     loss = -(targets * np.log(z) + (1.0 - targets) * np.log(1.0 - z)).sum()
     if not want_residual:
@@ -124,111 +63,19 @@ def _bernoulli_loss_terms_numpy(pred, targets, alpha, eps, want_residual):
     return float(loss), resid
 
 
-def _bernoulli_loss_terms_impl(pred, targets, alpha, eps, want_residual):
-    n, n_dims = pred.shape
-    lo = eps
-    hi = 1.0 - eps
-    loss = 0.0
-    resid = np.zeros((n, n_dims), dtype=np.float64) if want_residual else np.zeros((1, 1))
-    for t in range(n):
-        for i in range(n_dims):
-            v = alpha * pred[t, i]
-            if v >= 0.0:
-                s = 1.0 / (1.0 + np.exp(-v))
-            else:
-                ev = np.exp(v)
-                s = ev / (1.0 + ev)
-            z = s
-            if z < lo:
-                z = lo
-            elif z > hi:
-                z = hi
-            y = targets[t, i]
-            loss -= y * np.log(z) + (1.0 - y) * np.log(1.0 - z)
-            if want_residual:
-                resid[t, i] = ((1.0 - y) / (1.0 - z) - y / z) * (alpha * s * (1.0 - s))
-    return loss, resid
-
-
-# ---------------------------------------------------------------------------
-# lagged quadratic form: sum_t sum_k (sum_l sum_j delta[k,j,l] x^{t-l}_j)^2
-# evaluated directly on the path rows, no design matrix materialized.
-# ---------------------------------------------------------------------------
-
-
-def _lagged_square_sum_numpy(data, delta):
-    n_rows, n_dims = data.shape
-    p = delta.shape[2]
-    n = n_rows - p
-    inner = np.zeros((n, delta.shape[0]))
-    x = data.astype(np.float64)
-    for lag in range(1, p + 1):
-        inner += x[p - lag : p - lag + n] @ delta[:, :, lag - 1].T
-    return float((inner * inner).sum())
-
-
-def _lagged_square_sum_impl(data, delta):
-    n_rows, n_dims = data.shape
-    n_out, n_in, p = delta.shape
-    n = n_rows - p
-    total = 0.0
-    for t in range(n):
-        for k in range(n_out):
-            acc = 0.0
-            for lag in range(1, p + 1):
-                base = p - lag + t
-                for j in range(n_in):
-                    acc += delta[k, j, lag - 1] * data[base, j]
-            total += acc * acc
-    return total
-
-
-if HAVE_NUMBA:
-    _chain_steps_numba = numba.njit(cache=True)(_chain_steps_impl)
-    _bernoulli_loss_terms_numba = numba.njit(cache=True)(_bernoulli_loss_terms_impl)
-    _lagged_square_sum_numba = numba.njit(cache=True)(_lagged_square_sum_impl)
-
-
-def chain_steps(init_hist, stacked, alpha, eps, uniforms):
-    """Advance the chain one Bernoulli draw per (step, coordinate).
-
-    ``init_hist`` is the (p, N) binary start window with the oldest state in
-    row 0, ``stacked`` the (N, N p) stacked tensor, ``uniforms`` the (T, N)
-    pre-drawn variates consumed in (t, i) order. Returns (T, N) uint8 states.
-    """
-    init_hist = np.ascontiguousarray(init_hist, dtype=np.float64)
-    stacked = np.ascontiguousarray(stacked, dtype=np.float64)
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    if USE_NUMBA:
-        return _chain_steps_numba(init_hist, stacked, float(alpha), float(eps), uniforms)
-    return _chain_steps_numpy(init_hist, stacked, float(alpha), float(eps), uniforms)
-
-
-def bernoulli_loss_terms(pred, targets, alpha, eps, want_residual=True):
-    """Summed Bernoulli NLL (and optionally the residual matrix) at predictors.
-
-    The probability is the clamped sigmoid; the residual uses the smooth
-    sigmoid derivative so it matches the analytic gradient formula.
-    """
-    pred = np.ascontiguousarray(pred, dtype=np.float64)
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
-    if USE_NUMBA:
-        loss, resid = _bernoulli_loss_terms_numba(
-            pred, targets, float(alpha), float(eps), want_residual
-        )
-        return float(loss), (resid if want_residual else None)
-    return _bernoulli_loss_terms_numpy(pred, targets, float(alpha), float(eps), want_residual)
-
-
 def lagged_square_sum(data, delta):
     """Sum over time and output coordinate of squared lagged inner products.
 
     ``data`` holds n + p binary rows (initial window first); the first p rows
     seed the lags, each of the remaining n rows contributes one squared term
-    per output coordinate.
+    sum_k (sum_l sum_j delta[k, j, l] x^{t-l}_j)^2, evaluated lag by lag on
+    the path rows without materializing the design matrix.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
+    x = np.ascontiguousarray(data, dtype=np.float64)
     delta = np.ascontiguousarray(delta, dtype=np.float64)
-    if USE_NUMBA:
-        return float(_lagged_square_sum_numba(data, delta))
-    return _lagged_square_sum_numpy(data, delta)
+    p = delta.shape[2]
+    n = x.shape[0] - p
+    inner = np.zeros((n, delta.shape[0]))
+    for lag in range(1, p + 1):
+        inner += x[p - lag : p - lag + n] @ delta[:, :, lag - 1].T
+    return float((inner * inner).sum())

@@ -68,9 +68,7 @@ def nll(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:
     _check_shapes(theta, path)
     X = design_matrix(path).data
     Y = path.samples().astype(np.float64)
-    pred = X @ stack_tensor(theta).T
-    loss, _ = _kernels.bernoulli_loss_terms(pred, Y, link.alpha, link.eps, False)
-    return loss / path.n
+    return _nll_on_design(stack_tensor(theta), X, Y, link)
 
 
 def nll_grad(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> LossEval:

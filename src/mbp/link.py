@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinkSpec", "sigmoid_link"]
+__all__ = ["LinkSpec", "sigmoid", "sigmoid_link"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class LinkSpec:
 
         Accepts scalars or arrays; returns the same shape.
         """
-        z = _sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
+        z = sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
         return np.clip(z, self.eps, 1.0 - self.eps)
 
     def eval_deriv(self, u):
@@ -74,21 +74,18 @@ class LinkSpec:
         The clamp applies only to probabilities fed into Bernoulli draws and
         likelihood terms, never to this derivative.
         """
-        z = _sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
+        z = sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
         return self.alpha * z * (1.0 - z)
 
 
-def _sigmoid(v):
-    # branch on sign so exp never overflows
-    v = np.asarray(v, dtype=np.float64)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return float(out[0]) if scalar else out
+def sigmoid(v):
+    """Logistic function 1 / (1 + exp(-v)), elementwise.
+
+    Computes 1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) for
+    v < 0, with ``exp`` only ever taken of -|v| <= 0 so it never overflows.
+    """
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_link(alpha: float = 1.0, eps: float = 0.05) -> LinkSpec:

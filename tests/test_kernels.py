@@ -1,65 +1,15 @@
-"""Agreement between the numba kernels and their pure-numpy fallbacks."""
+"""Public entry points of the numpy kernel layer."""
 
 import numpy as np
-import pytest
 
 from mbp import _kernels
 from mbp.link import sigmoid_link
 from mbp.simulate import random_sparse_theta, simulate
-from mbp.tensor import stack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@needs_numba
-class TestBackendParity:
-    def test_chain_steps_identical(self):
-        rng = np.random.default_rng(0)
-        theta = random_sparse_theta(3, 2, 6, seed=1)
-        init = (rng.random((2, 3)) < 0.5).astype(np.uint8)
-        uniforms = rng.random((2000, 3))
-        stacked = stack_tensor(theta)
-        a = _kernels._chain_steps_numba(
-            init.astype(np.float64), stacked, 1.0, 0.05, uniforms
-        )
-        b = _kernels._chain_steps_numpy(
-            init.astype(np.float64), stacked, 1.0, 0.05, uniforms
-        )
-        assert np.array_equal(a, b)
-
-    def test_loss_terms_close(self):
-        rng = np.random.default_rng(1)
-        pred = rng.standard_normal((500, 4)) * 3.0
-        targets = (rng.random((500, 4)) < 0.5).astype(np.float64)
-        la, ra = _kernels._bernoulli_loss_terms_numba(pred, targets, 1.3, 0.05, True)
-        lb, rb = _kernels._bernoulli_loss_terms_numpy(pred, targets, 1.3, 0.05, True)
-        assert la == pytest.approx(lb, rel=1e-12)
-        np.testing.assert_allclose(ra, rb, rtol=1e-12, atol=1e-12)
-
-    def test_loss_terms_no_residual(self):
-        rng = np.random.default_rng(2)
-        pred = rng.standard_normal((100, 2))
-        targets = (rng.random((100, 2)) < 0.5).astype(np.float64)
-        la, _ = _kernels._bernoulli_loss_terms_numba(pred, targets, 1.0, 0.05, False)
-        lb, rb = _kernels._bernoulli_loss_terms_numpy(pred, targets, 1.0, 0.05, False)
-        assert rb is None
-        assert la == pytest.approx(lb, rel=1e-12)
-
-    def test_lagged_square_sum_close(self):
-        rng = np.random.default_rng(3)
-        data = (rng.random((60, 3)) < 0.5).astype(np.float64)
-        delta = rng.standard_normal((3, 3, 2))
-        a = _kernels._lagged_square_sum_numba(data, delta)
-        b = _kernels._lagged_square_sum_numpy(data, delta)
-        assert a == pytest.approx(b, rel=1e-12)
-
 
 class TestDispatch:
-    def test_backend_name(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
     def test_public_wrappers_run(self):
         theta = random_sparse_theta(2, 1, 2, seed=4)
         path = simulate(theta, LINK, 50, seed=4)

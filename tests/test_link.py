@@ -55,6 +55,26 @@ class TestEval:
         gap = np.abs(np.asarray(link.eval(u)) - np.asarray(link.eval(v)))
         assert np.all(gap <= link.lipschitz * np.abs(u - v) + 1e-12)
 
+    @pytest.mark.parametrize("u", [0.0, -0.0, 1e-3, -1e-3, 30.0, -30.0, 1e4, -1e4])
+    def test_matches_sign_branch_formula_bitwise(self, u):
+        # eps far below every unclamped value tested, except where exp underflows
+        link = sigmoid_link(1.3, 1e-300)
+        v = np.float64(link.alpha * u)
+        if v >= 0:
+            expected = 1.0 / (1.0 + np.exp(-v))
+        else:
+            expected = np.exp(v) / (1.0 + np.exp(v))
+        expected = min(max(expected, link.eps), 1.0 - link.eps)
+        assert link.eval(u) == expected
+        assert link.eval(np.array([u]))[0] == expected
+
+    @pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+    @pytest.mark.parametrize("u", [0.0, -2.5, 7, np.float64(1e4)])
+    def test_scalar_in_scalar_out(self, method, u):
+        out = getattr(sigmoid_link(1.0, 0.05), method)(u)
+        assert np.ndim(out) == 0
+        assert isinstance(out, float)
+
     def test_no_overflow_at_extremes(self):
         link = sigmoid_link(1.0, 0.05)
         assert np.isfinite(link.eval(np.array([-1e4, 1e4]))).all()

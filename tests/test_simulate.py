@@ -1,6 +1,7 @@
 """Sample-path simulation, design matrix and random ground truths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestSimulate:
         rng = np.random.default_rng(7)
         expected_hist = (rng.random((2, 2)) < 0.5).astype(np.uint8)
         assert np.array_equal(path.history(), expected_hist)
+
+    def test_saturated_predictors_raise_no_overflow_warning(self):
+        # |alpha * W h| reaches 2000, far past where exp overflows
+        theta = ParamTensor(np.full((2, 2, 1), 500.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = simulate(theta, sigmoid_link(2.0, 0.05), 50, burn_in=10, seed=1)
+        assert path.data.shape == (51, 2)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
