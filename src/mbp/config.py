@@ -29,6 +29,20 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"
 
 EXPERIMENTS = ("error_vs_n", "error_vs_sparsity", "grid", "support_recovery", "diagnose")
 
+# keys the diagnose checks read, as diagnose.<key>
+DIAGNOSE_KEYS = (
+    "check", "samples", "seed", "n", "segments", "freq_points", "family", "c",
+    "alpha", "beta", "p_values", "c1", "replicates", "t", "directions", "s",
+    "theta", "theta_seed",
+)
+KNOWN_KEYS = frozenset((
+    "experiment", "N", "p", "replicates", "master_seed", "output_dir",
+    "sweep.s_values", "sweep.n_values", "link.kind", "link.alpha", "link.eps",
+    "lambda.mode", "lambda.c2", "lambda.value",
+    "theta.magnitude_low", "theta.magnitude_high", "sim.burn_in",
+    "fit.tol", "fit.max_iters", "fit.accelerate", "run.point_timeout_seconds",
+)) | {f"diagnose.{key}" for key in DIAGNOSE_KEYS}
+
 # Penalty constant used by the harness when the config does not set
 # lambda.c2. The nominal constant 100 of the reference protocol presumes an
 # unnormalized (summed) likelihood; against the normalized loss this solver
@@ -148,16 +162,8 @@ class ExperimentConfig:
         diagnose = {
             k.split(".", 1)[1]: v for k, v in mapping.items() if k.startswith("diagnose.")
         }
-        known_prefixes = (
-            "experiment", "N", "p", "replicates", "master_seed", "output_dir",
-            "sweep.", "link.", "lambda.", "theta.", "sim.", "fit.", "run.",
-            "diagnose.",
-        )
         for key in mapping:
-            if not any(
-                key == pref or (pref.endswith(".") and key.startswith(pref))
-                for pref in known_prefixes
-            ):
+            if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown key '{key}'")
         return cls(
             experiment=_get(mapping, "experiment", None, str),

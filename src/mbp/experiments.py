@@ -15,7 +15,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .likelihood import concentration_trial, grad_bound_trial, rsc_probe
 from .markov import (
     contraction_check,
     kl_chain_decomposition,
+    mixing_coefficient_bound,
     mixing_coefficients,
 )
 from .simulate import random_sparse_theta, simulate
@@ -37,16 +38,7 @@ from .spectral import (
 )
 from .tensor import ParamTensor, mixing_norm, read_tensor
 
-__all__ = [
-    "RunRecord",
-    "RECORD_COLUMNS",
-    "run_experiment",
-    "run_error_vs_n",
-    "run_error_vs_sparsity",
-    "run_grid",
-    "run_support_recovery",
-    "run_diagnose",
-]
+__all__ = ["RunRecord", "RECORD_COLUMNS", "run_experiment"]
 
 RECORD_COLUMNS = (
     "experiment",
@@ -68,7 +60,7 @@ RECORD_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (sweep point, replicate) outcome."""
+    """One (sweep point, replicate) outcome; a timed-out replicate keeps the defaults."""
 
     experiment: str
     replicate: int
@@ -77,37 +69,34 @@ class RunRecord:
     s: int
     n: int
     lam: float
-    frob_error: float
-    frob_error_sq: float
-    support_fraction: float
-    iterations: int
-    converged: bool
-    wall_seconds: float
-    seed: int
+    frob_error: float = math.nan
+    frob_error_sq: float = math.nan
+    support_fraction: float = math.nan
+    iterations: int = 0
+    converged: bool = False
+    wall_seconds: float = math.nan
+    seed: int = 0
 
     def row(self):
-        return [
-            self.experiment,
-            self.replicate,
-            self.n_dims,
-            self.n_lags,
-            self.s,
-            self.n,
-            _fmt(self.lam),
-            _fmt(self.frob_error),
-            _fmt(self.frob_error_sq),
-            _fmt(self.support_fraction),
-            self.iterations,
-            int(self.converged),
-            _fmt(self.wall_seconds),
-            self.seed,
-        ]
+        return [_cell(v) for v in astuple(self)]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
+def _cell(x):
+    if isinstance(x, (bool, np.bool_)):
+        return int(x)
+    if isinstance(x, float):
+        return repr(float(x))  # "nan" for NaN
+    return x
+
+
+def _write(config: ExperimentConfig, name: str, columns, rows) -> str:
+    """Write one CSV into the output directory; returns its path."""
+    fname = os.path.join(config.output_dir, name)
+    with open(fname, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+    return fname
 
 
 def _point_seeds(master_seed: int, s: int, n: int, replicate: int):
@@ -134,19 +123,21 @@ def _effective_lambda(config: ExperimentConfig, n: int) -> float:
     )
 
 
-def _run_point_replicate(config: ExperimentConfig, s: int, n: int, rep: int) -> RunRecord:
+def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int, skip: bool) -> RunRecord:
     theta_seed, path_seed = _point_seeds(config.master_seed, s, n, rep)
+    lam = _effective_lambda(config, n)
+    point = dict(
+        experiment=config.experiment, replicate=rep, n_dims=config.n_dims,
+        n_lags=config.n_lags, s=s, n=n, lam=lam, seed=path_seed,
+    )
+    if skip:
+        return RunRecord(**point)
     start = time.perf_counter()
     theta_star = random_sparse_theta(
-        config.n_dims,
-        config.n_lags,
-        s,
-        config.magnitude_low,
-        config.magnitude_high,
-        seed=theta_seed,
+        config.n_dims, config.n_lags, s,
+        config.magnitude_low, config.magnitude_high, seed=theta_seed,
     )
     path = simulate(theta_star, config.link, n, burn_in=config.burn_in, seed=path_seed)
-    lam = _effective_lambda(config, n)
     result = fit(
         path,
         config.link,
@@ -159,210 +150,109 @@ def _run_point_replicate(config: ExperimentConfig, s: int, n: int, rep: int) -> 
     )
     metrics = error_metrics(result.theta_hat, theta_star, s)
     return RunRecord(
-        experiment=config.experiment,
-        replicate=rep,
-        n_dims=config.n_dims,
-        n_lags=config.n_lags,
-        s=s,
-        n=n,
-        lam=lam,
+        **point,
         frob_error=metrics.frob_error,
         frob_error_sq=metrics.frob_error_sq,
         support_fraction=metrics.support_fraction,
         iterations=result.iterations,
         converged=result.converged,
         wall_seconds=time.perf_counter() - start,
-        seed=path_seed,
     )
 
 
-def _timeout_record(config: ExperimentConfig, s: int, n: int, rep: int) -> RunRecord:
-    _, path_seed = _point_seeds(config.master_seed, s, n, rep)
-    return RunRecord(
-        experiment=config.experiment,
-        replicate=rep,
-        n_dims=config.n_dims,
-        n_lags=config.n_lags,
-        s=s,
-        n=n,
-        lam=_effective_lambda(config, n),
-        frob_error=math.nan,
-        frob_error_sq=math.nan,
-        support_fraction=math.nan,
-        iterations=0,
-        converged=False,
-        wall_seconds=math.nan,
-        seed=path_seed,
-    )
+def _sweep(config: ExperimentConfig):
+    """All replicates over s_values x n_values, s-major, in config order.
 
-
-def _sweep(config: ExperimentConfig, points):
-    """Run all replicates over the (s, n) points; points stay in given order."""
+    Once a point has used up ``point_timeout`` seconds, its remaining
+    replicates are skipped and recorded with the metric defaults.
+    """
     records = []
-    for s, n in points:
-        point_start = time.perf_counter()
-        for rep in range(config.replicates):
-            timed_out = (
-                config.point_timeout > 0
-                and time.perf_counter() - point_start > config.point_timeout
-            )
-            if timed_out:
-                records.append(_timeout_record(config, s, n, rep))
-            else:
-                records.append(_run_point_replicate(config, s, n, rep))
+    for s in config.s_values:
+        for n in config.n_values:
+            point_start = time.perf_counter()
+            for rep in range(config.replicates):
+                skip = (
+                    config.point_timeout > 0
+                    and time.perf_counter() - point_start > config.point_timeout
+                )
+                records.append(_run_replicate(config, s, n, rep, skip))
     return records
 
 
-def _write_records(records, fname) -> None:
-    with open(fname, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
-
-
-def _summaries(records, key):
-    """Group records by the given attribute and average the metrics."""
+def _group(records, key):
     groups = {}
     for rec in records:
-        groups.setdefault(getattr(rec, key), []).append(rec)
+        groups.setdefault(key(rec), []).append(rec)
+    return groups
+
+
+def _mean_std(values):
+    return float(np.mean(values)), float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def _axis_summary(config, records, key):
+    """Per-value means along one sweep axis, ascending; the s axis adds a linear trend."""
+    groups = _group(records, lambda r: getattr(r, key))
     rows = []
     for value in sorted(groups):
         recs = groups[value]
         errs = np.array([r.frob_error for r in recs])
-        fracs = np.array([r.support_fraction for r in recs])
-        rows.append(
-            {
-                key: value,
-                "replicates": len(recs),
-                "mean_frob_error": float(np.mean(errs)),
-                "std_frob_error": float(np.std(errs, ddof=1)) if len(recs) > 1 else 0.0,
-                "mean_frob_error_sq": float(np.mean(errs**2)),
-                "mean_support_fraction": float(np.mean(fracs)),
-                "lambda": recs[0].lam,
-            }
-        )
-    return rows
+        mean, std = _mean_std(errs)
+        fracs = [r.support_fraction for r in recs]
+        rows.append([value, len(recs), mean, std, float(np.mean(errs**2)),
+                     float(np.mean(fracs)), recs[0].lam])
+    columns = [key, "replicates", "mean_frob_error", "std_frob_error",
+               "mean_frob_error_sq", "mean_support_fraction", "lambda"]
+    files = [_write(config, f"{config.experiment}_summary.csv", columns, rows)]
+    if key == "s":
+        if len(rows) >= 2:
+            slope, intercept = np.polyfit([r[0] for r in rows], [r[2] for r in rows], deg=1)
+        else:
+            slope, intercept = math.nan, rows[0][2]
+        files.append(_write(config, "error_vs_sparsity_trend.csv", ["slope", "intercept"],
+                            [[float(slope), float(intercept)]]))
+    return files
 
 
-def _write_dict_rows(rows, fname, columns) -> None:
-    with open(fname, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [_fmt(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
-            )
+def _grid_matrix(config, records):
+    """Mean error pivoted to one row per s and one column per n, in config order."""
+    groups = _group(records, lambda r: (r.s, r.n))
+    rows = [
+        [s] + [float(np.mean([r.frob_error for r in groups[(s, n)]])) for n in config.n_values]
+        for s in config.s_values
+    ]
+    return [_write(config, "grid_matrix.csv", ["s_by_n", *config.n_values], rows)]
 
 
-def _out(config, name) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    return os.path.join(config.output_dir, name)
-
-
-def run_error_vs_n(config: ExperimentConfig):
-    """Error against sample size at a single sparsity level."""
-    if len(config.s_values) != 1:
-        raise ConfigError("key 'sweep.s_values': error_vs_n needs exactly one s")
-    s = config.s_values[0]
-    records = _sweep(config, [(s, n) for n in config.n_values])
-    runs = _out(config, "error_vs_n_runs.csv")
-    _write_records(records, runs)
-    summary = _out(config, "error_vs_n_summary.csv")
-    _write_dict_rows(
-        _summaries(records, "n"),
-        summary,
-        ["n", "replicates", "mean_frob_error", "std_frob_error",
-         "mean_frob_error_sq", "mean_support_fraction", "lambda"],
-    )
-    return [runs, summary]
-
-
-def run_error_vs_sparsity(config: ExperimentConfig):
-    """Error against sparsity at a single sample size, with a linear trend fit."""
-    if len(config.n_values) != 1:
-        raise ConfigError("key 'sweep.n_values': error_vs_sparsity needs exactly one n")
-    n = config.n_values[0]
-    records = _sweep(config, [(s, n) for s in config.s_values])
-    runs = _out(config, "error_vs_sparsity_runs.csv")
-    _write_records(records, runs)
-    rows = _summaries(records, "s")
-    summary = _out(config, "error_vs_sparsity_summary.csv")
-    _write_dict_rows(
-        rows,
-        summary,
-        ["s", "replicates", "mean_frob_error", "std_frob_error",
-         "mean_frob_error_sq", "mean_support_fraction", "lambda"],
-    )
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(
-            [r["s"] for r in rows], [r["mean_frob_error"] for r in rows], deg=1
-        )
-    else:
-        slope, intercept = math.nan, rows[0]["mean_frob_error"]
-    trend = _out(config, "error_vs_sparsity_trend.csv")
-    _write_dict_rows(
-        [{"slope": float(slope), "intercept": float(intercept)}],
-        trend,
-        ["slope", "intercept"],
-    )
-    return [runs, summary, trend]
-
-
-def run_grid(config: ExperimentConfig):
-    """Full (s, n) product sweep plus a pivoted mean-error matrix."""
-    points = [(s, n) for s in config.s_values for n in config.n_values]
-    records = _sweep(config, points)
-    runs = _out(config, "grid_runs.csv")
-    _write_records(records, runs)
-    means = {}
-    for rec in records:
-        means.setdefault((rec.s, rec.n), []).append(rec.frob_error)
-    matrix = _out(config, "grid_matrix.csv")
-    with open(matrix, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s_by_n"] + [str(n) for n in config.n_values])
-        for s in config.s_values:
-            writer.writerow(
-                [str(s)]
-                + [_fmt(float(np.mean(means[(s, n)]))) for n in config.n_values]
-            )
-    return [runs, matrix]
-
-
-def run_support_recovery(config: ExperimentConfig):
-    """Support-recovery fraction across (s, n), with n / log(N^2 p) columns."""
-    points = [(s, n) for s in config.s_values for n in config.n_values]
-    records = _sweep(config, points)
-    runs = _out(config, "support_recovery_runs.csv")
-    _write_records(records, runs)
+def _support_summary(config, records):
+    """Support-recovery fraction per (s, n) in config order, with n / log(N^2 p)."""
+    groups = _group(records, lambda r: (r.s, r.n))
     log_dim = math.log(config.n_dims**2 * config.n_lags)
-    rows = []
-    for s in config.s_values:
-        for n in config.n_values:
-            recs = [r for r in records if r.s == s and r.n == n]
-            fracs = np.array([r.support_fraction for r in recs])
-            rows.append(
-                {
-                    "s": s,
-                    "n": n,
-                    "n_over_log": n / log_dim,
-                    "mean_support_fraction": float(np.mean(fracs)),
-                    "std_support_fraction": float(np.std(fracs, ddof=1))
-                    if len(recs) > 1
-                    else 0.0,
-                }
-            )
-    summary = _out(config, "support_recovery_summary.csv")
-    _write_dict_rows(
-        rows, summary, ["s", "n", "n_over_log", "mean_support_fraction", "std_support_fraction"]
-    )
-    return [runs, summary]
+    rows = [
+        [s, n, n / log_dim, *_mean_std([r.support_fraction for r in groups[(s, n)]])]
+        for s in config.s_values
+        for n in config.n_values
+    ]
+    columns = ["s", "n", "n_over_log", "mean_support_fraction", "std_support_fraction"]
+    return [_write(config, "support_recovery_summary.csv", columns, rows)]
 
 
-# ---------------------------------------------------------------------------
-# diagnostics dispatch
-# ---------------------------------------------------------------------------
+# experiment -> (sweep axis that must hold exactly one value, summary writer)
+_SWEEPS = {
+    "error_vs_n": ("s", lambda config, records: _axis_summary(config, records, "n")),
+    "error_vs_sparsity": ("n", lambda config, records: _axis_summary(config, records, "s")),
+    "grid": (None, _grid_matrix),
+    "support_recovery": (None, _support_summary),
+}
+
+
+# Diagnostic checks: config -> files written. The benchmark rebinds fit, simulate,
+# the trials and the markov/spectral routines here, so they are looked up as
+# module globals at call time, never captured in a dict, default or partial.
+
+
+def _seed(config: ExperimentConfig) -> int:
+    return int(config.diagnose.get("seed", config.master_seed))
 
 
 def _diag_theta(config: ExperimentConfig):
@@ -377,193 +267,181 @@ def _diag_theta(config: ExperimentConfig):
     )
 
 
-def _random_mixing_theta(n_dims, n_lags, link, rng):
-    """Dense random tensor rescaled to a mixing norm uniform in (0.05, 0.95)."""
-    values = rng.standard_normal((n_dims, n_dims, n_lags))
-    base = ParamTensor(values)
-    target = rng.uniform(0.05, 0.95)
-    m = mixing_norm(base, link)
-    return ParamTensor(values * (target / m))
-
-
-def run_diagnose(config: ExperimentConfig):
-    """Run the configured checks (comma separated) and write their CSVs.
-
-    An empty check list writes only the index file with its header row.
-    """
-    names = [c.strip() for c in config.diagnose.get("check", "").split(",") if c.strip()]
-    files = []
-    index_rows = []
-    for name in names:
-        written = _run_one_check(config, name)
-        files.extend(written)
-        index_rows.append({"check": name, "files": ";".join(written)})
-    index = _out(config, "diagnose_index.csv")
-    _write_dict_rows(index_rows, index, ["check", "files"])
-    return files + [index]
-
-
-def _run_one_check(config: ExperimentConfig, check: str):
-    spec = config.diagnose
+def _mixing_thetas(config: ExperimentConfig):
+    """``diagnose.samples`` dense random tensors rescaled to a mixing norm uniform
+    in (0.05, 0.95), from a fresh master-seed stream on every call."""
     rng = np.random.default_rng(config.master_seed)
-    samples = int(spec.get("samples", 100))
-    seed = int(spec.get("seed", config.master_seed))
-
-    if check == "gf-bound":
-        out = _out(config, "diagnose_gf_bound.csv")
-        rows = []
-        for i in range(samples):
-            theta = _random_mixing_theta(config.n_dims, config.n_lags, config.link, rng)
-            res = contraction_check(theta, config.link)
-            rows.append(
-                {"sample": i, "tau1_p_step": res.tau1_p_step,
-                 "mixing_norm": res.mixing_norm_value, "holds": int(res.holds)}
-            )
-        _write_dict_rows(rows, out, ["sample", "tau1_p_step", "mixing_norm", "holds"])
-        return [out]
-
-    if check == "eta-bound":
-        n = int(spec.get("n", 6))
-        out = _out(config, "diagnose_eta_bound.csv")
-        rows = []
-        for i in range(samples):
-            theta = _random_mixing_theta(config.n_dims, config.n_lags, config.link, rng)
-            res = contraction_check(theta, config.link)
-            eta = mixing_coefficients(theta, config.link, n)
-            for k in range(1, n + 1):
-                for l in range(k, n + 1):
-                    bound = res.tau1_p_step ** (1 + (l - k - 1) // config.n_lags)
-                    rows.append(
-                        {"sample": i, "k": k, "l": l, "eta": float(eta[k - 1, l - 1]),
-                         "bound": bound, "holds": int(eta[k - 1, l - 1] <= bound + 1e-10)}
-                    )
-        _write_dict_rows(rows, out, ["sample", "k", "l", "eta", "bound", "holds"])
-        return [out]
-
-    if check == "kl-decomp":
-        out = _out(config, "diagnose_kl_decomp.csv")
-        rows = []
-        n_states = 1 << (config.n_dims * config.n_lags)
-        for i in range(samples):
-            theta = _random_mixing_theta(config.n_dims, config.n_lags, config.link, rng)
-            for z in range(n_states):
-                for y in range(n_states):
-                    res = kl_chain_decomposition(theta, config.link, z, y)
-                    rows.append(
-                        {"sample": i, "z": z, "y": y, "lhs": res.lhs, "rhs": res.rhs,
-                         "agree": int(res.agree)}
-                    )
-        _write_dict_rows(rows, out, ["sample", "z", "y", "lhs", "rhs", "agree"])
-        return [out]
-
-    if check == "psd":
-        n = int(spec.get("n", 200_000))
-        segments = int(spec.get("segments", 50))
-        freq_points = int(spec.get("freq_points", 256))
-        theta = _diag_theta(config)
-        path = simulate(theta, config.link, n, burn_in=config.burn_in, seed=seed)
-        report = psd_estimate(path, segments, freq_points)
-        out = _out(config, "diagnose_psd.csv")
-        rows = [
-            {"freq": float(f), "min_eig": float(e)}
-            for f, e in zip(report.freq_grid, report.min_eigs)
-        ]
-        _write_dict_rows(rows, out, ["freq", "min_eig"])
-        summary = _out(config, "diagnose_psd_summary.csv")
-        _write_dict_rows([{"spectral_floor": report.spectral_floor}], summary, ["spectral_floor"])
-        return [out, summary]
-
-    if check == "decay-table":
-        family_name = spec.get("family", "polynomial")
-        c = float(spec.get("c", 0.1))
-        if family_name == "constant":
-            family = ConstantDecay(c)
-        elif family_name == "polynomial":
-            family = PolynomialDecay(c, float(spec.get("alpha", 2.0)))
-        elif family_name == "exponential":
-            family = ExponentialDecay(c, float(spec.get("beta", 1.0)))
-        else:
-            raise ConfigError(f"key 'diagnose.family': unknown family {family_name!r}")
-        p_values = [int(x) for x in spec.get("p_values", "1,2,4,8,16,32,64,128").split(",")]
-        rows = decay_scaling_report(family, config.n_dims, p_values, config.link)
-        out = _out(config, "diagnose_decay_table.csv")
-        _write_dict_rows(
-            [
-                {"p": r.p, "inner_norm": r.inner_norm, "mixing_norm": r.mixing_norm,
-                 "concentration": r.concentration, "diverged": int(r.diverged)}
-                for r in rows
-            ],
-            out,
-            ["p", "inner_norm", "mixing_norm", "concentration", "diverged"],
-        )
-        return [out]
-
-    if check == "grad-bound":
-        theta = _diag_theta(config)
-        report = grad_bound_trial(
-            theta, config.link,
-            n=int(spec.get("n", 500)),
-            c1=float(spec.get("c1", 4.0)),
-            replicates=int(spec.get("replicates", 200)),
-            seed=seed,
-            burn_in=config.burn_in,
-        )
-        out = _out(config, "diagnose_grad_bound.csv")
-        report.write_csv(out)
-        summary = _out(config, "diagnose_grad_bound_summary.csv")
-        _write_dict_rows(
-            [{"rate": report.rate, "bound_rate": report.bound_rate}],
-            summary, ["rate", "bound_rate"],
-        )
-        return [out, summary]
-
-    if check == "concentration":
-        theta = _diag_theta(config)
-        delta = ParamTensor(
-            np.random.default_rng(seed + 1).standard_normal(theta.values.shape)
-        )
-        n = int(spec.get("n", 2000))
-        t_dev = float(spec.get("t", 0.1))
-        report = concentration_trial(
-            theta, config.link, delta, n=n, t=t_dev,
-            replicates=int(spec.get("replicates", 300)),
-            seed=seed, burn_in=config.burn_in,
-        )
-        out = _out(config, "diagnose_concentration.csv")
-        report.write_csv(out)
-        summary = _out(config, "diagnose_concentration_summary.csv")
-        _write_dict_rows(
-            [{"rate": report.rate, "bound_rate": report.bound_rate}],
-            summary, ["rate", "bound_rate"],
-        )
-        return [out, summary]
-
-    if check == "rsc":
-        theta = _diag_theta(config)
-        n = int(spec.get("n", 2000))
-        path = simulate(theta, config.link, n, burn_in=config.burn_in, seed=seed)
-        value = rsc_probe(
-            theta, config.link, path,
-            s=int(spec.get("s", max(1, config.s_values[0] if config.s_values else 1))),
-            n_directions=int(spec.get("directions", 64)),
-            seed=seed,
-        )
-        out = _out(config, "diagnose_rsc.csv")
-        _write_dict_rows([{"curvature": value}], out, ["curvature"])
-        return [out]
-
-    raise ConfigError(f"key 'diagnose.check': unknown check {check!r}")
+    for _ in range(int(config.diagnose.get("samples", 100))):
+        values = rng.standard_normal((config.n_dims, config.n_dims, config.n_lags))
+        target = rng.uniform(0.05, 0.95)
+        yield ParamTensor(values * (target / mixing_norm(ParamTensor(values), config.link)))
 
 
-_RUNNERS = {
-    "error_vs_n": run_error_vs_n,
-    "error_vs_sparsity": run_error_vs_sparsity,
-    "grid": run_grid,
-    "support_recovery": run_support_recovery,
-    "diagnose": run_diagnose,
+def _gf_bound(config):
+    rows = []
+    for i, theta in enumerate(_mixing_thetas(config)):
+        res = contraction_check(theta, config.link)
+        rows.append([i, res.tau1_p_step, res.mixing_norm_value, res.holds])
+    columns = ["sample", "tau1_p_step", "mixing_norm", "holds"]
+    return [_write(config, "diagnose_gf_bound.csv", columns, rows)]
+
+
+def _eta_bound(config):
+    n = int(config.diagnose.get("n", 6))
+    rows = []
+    for i, theta in enumerate(_mixing_thetas(config)):
+        tau = contraction_check(theta, config.link).tau1_p_step
+        eta = mixing_coefficients(theta, config.link, n)
+        for k in range(1, n + 1):
+            for l in range(k, n + 1):
+                bound = mixing_coefficient_bound(tau, config.n_lags, k, l)
+                value = eta[k - 1, l - 1]
+                rows.append([i, k, l, float(value), bound, value <= bound + 1e-10])
+    columns = ["sample", "k", "l", "eta", "bound", "holds"]
+    return [_write(config, "diagnose_eta_bound.csv", columns, rows)]
+
+
+def _kl_decomp(config):
+    n_states = 1 << (config.n_dims * config.n_lags)
+    rows = []
+    for i, theta in enumerate(_mixing_thetas(config)):
+        for z in range(n_states):
+            for y in range(n_states):
+                res = kl_chain_decomposition(theta, config.link, z, y)
+                rows.append([i, z, y, res.lhs, res.rhs, res.agree])
+    columns = ["sample", "z", "y", "lhs", "rhs", "agree"]
+    return [_write(config, "diagnose_kl_decomp.csv", columns, rows)]
+
+
+def _psd(config):
+    spec = config.diagnose
+    n = int(spec.get("n", 200_000))
+    path = simulate(_diag_theta(config), config.link, n, burn_in=config.burn_in, seed=_seed(config))
+    report = psd_estimate(path, int(spec.get("segments", 50)), int(spec.get("freq_points", 256)))
+    return [
+        _write(config, "diagnose_psd.csv", ["freq", "min_eig"],
+               zip(report.freq_grid, report.min_eigs)),
+        _write(config, "diagnose_psd_summary.csv", ["spectral_floor"],
+               [[report.spectral_floor]]),
+    ]
+
+
+_DECAY_FAMILIES = {
+    "constant": lambda c, spec: ConstantDecay(c),
+    "polynomial": lambda c, spec: PolynomialDecay(c, float(spec.get("alpha", 2.0))),
+    "exponential": lambda c, spec: ExponentialDecay(c, float(spec.get("beta", 1.0))),
 }
 
 
+def _decay_table(config):
+    spec = config.diagnose
+    family_name = spec.get("family", "polynomial")
+    if family_name not in _DECAY_FAMILIES:
+        raise ConfigError(f"key 'diagnose.family': unknown family {family_name!r}")
+    family = _DECAY_FAMILIES[family_name](float(spec.get("c", 0.1)), spec)
+    p_values = [int(x) for x in spec.get("p_values", "1,2,4,8,16,32,64,128").split(",")]
+    rows = [
+        [r.p, r.inner_norm, r.mixing_norm, r.concentration, r.diverged]
+        for r in decay_scaling_report(family, config.n_dims, p_values, config.link)
+    ]
+    columns = ["p", "inner_norm", "mixing_norm", "concentration", "diverged"]
+    return [_write(config, "diagnose_decay_table.csv", columns, rows)]
+
+
+def _trial_files(config, stem, report):
+    out = os.path.join(config.output_dir, f"diagnose_{stem}.csv")
+    report.write_csv(out)
+    summary = _write(config, f"diagnose_{stem}_summary.csv", ["rate", "bound_rate"],
+                     [[report.rate, report.bound_rate]])
+    return [out, summary]
+
+
+def _grad_bound(config):
+    spec = config.diagnose
+    report = grad_bound_trial(
+        _diag_theta(config), config.link,
+        n=int(spec.get("n", 500)),
+        c1=float(spec.get("c1", 4.0)),
+        replicates=int(spec.get("replicates", 200)),
+        seed=_seed(config),
+        burn_in=config.burn_in,
+    )
+    return _trial_files(config, "grad_bound", report)
+
+
+def _concentration(config):
+    spec = config.diagnose
+    theta = _diag_theta(config)
+    seed = _seed(config)
+    delta = ParamTensor(np.random.default_rng(seed + 1).standard_normal(theta.values.shape))
+    report = concentration_trial(
+        theta, config.link, delta,
+        n=int(spec.get("n", 2000)),
+        t=float(spec.get("t", 0.1)),
+        replicates=int(spec.get("replicates", 300)),
+        seed=seed, burn_in=config.burn_in,
+    )
+    return _trial_files(config, "concentration", report)
+
+
+def _rsc(config):
+    spec = config.diagnose
+    theta = _diag_theta(config)
+    seed = _seed(config)
+    path = simulate(theta, config.link, int(spec.get("n", 2000)), burn_in=config.burn_in, seed=seed)
+    value = rsc_probe(
+        theta, config.link, path,
+        s=int(spec.get("s", max(1, config.s_values[0] if config.s_values else 1))),
+        n_directions=int(spec.get("directions", 64)),
+        seed=seed,
+    )
+    return [_write(config, "diagnose_rsc.csv", ["curvature"], [[value]])]
+
+
+_CHECKS = {
+    "gf-bound": _gf_bound,
+    "eta-bound": _eta_bound,
+    "kl-decomp": _kl_decomp,
+    "psd": _psd,
+    "decay-table": _decay_table,
+    "grad-bound": _grad_bound,
+    "concentration": _concentration,
+    "rsc": _rsc,
+}
+
+
+def _diagnose(config: ExperimentConfig):
+    """Run the configured checks (comma separated) and index their files.
+
+    The index names files relative to the output directory; an empty check
+    list writes only its header row.
+    """
+    names = [c.strip() for c in config.diagnose.get("check", "").split(",") if c.strip()]
+    for name in names:
+        if name not in _CHECKS:
+            raise ConfigError(
+                f"key 'diagnose.check': unknown check {name!r}; "
+                f"known checks: {', '.join(sorted(_CHECKS))}"
+            )
+    os.makedirs(config.output_dir, exist_ok=True)
+    files, index = [], []
+    for name in names:
+        written = _CHECKS[name](config)
+        files += written
+        index.append([name, ";".join(os.path.basename(f) for f in written)])
+    return files + [_write(config, "diagnose_index.csv", ["check", "files"], index)]
+
+
 def run_experiment(config: ExperimentConfig):
-    """Dispatch on config.experiment; returns the list of files written."""
-    return _RUNNERS[config.experiment](config)
+    """Run config.experiment and return the list of files written."""
+    if config.experiment == "diagnose":
+        return _diagnose(config)
+    single, summarize = _SWEEPS[config.experiment]
+    if single and len(getattr(config, f"{single}_values")) != 1:
+        raise ConfigError(
+            f"key 'sweep.{single}_values': {config.experiment} needs exactly one {single}"
+        )
+    records = _sweep(config)
+    os.makedirs(config.output_dir, exist_ok=True)
+    runs = _write(config, f"{config.experiment}_runs.csv", RECORD_COLUMNS, [r.row() for r in records])
+    return [runs] + summarize(config, records)

@@ -33,6 +33,7 @@ __all__ = [
     "mixing_coefficient_exact",
     "mixing_coefficients",
     "check_mixing_coefficient_bound",
+    "mixing_coefficient_bound",
     "mixing_row_sum_exact",
     "mixing_sum_bound",
     "kl_bernoulli",
@@ -247,15 +248,18 @@ def mixing_coefficient_exact(
     return float(mixing_coefficients(theta, link, n)[k - 1, l - 1])
 
 
+def mixing_coefficient_bound(tau: float, p: int, k: int, l: int) -> float:
+    """tau^(1 + floor((l-k-1)/p)), the bound on eta_{k l} from the p-step contraction tau."""
+    return tau ** (1 + (l - k - 1) // p)
+
+
 def check_mixing_coefficient_bound(theta: ParamTensor, link: LinkSpec, n: int) -> bool:
-    """Exact check of eta_{k l} <= tau1(K^p)^(1 + floor((l-k-1)/p)) for all pairs."""
-    check = contraction_check(theta, link)
-    tau = check.tau1_p_step
+    """Exact check of eta_{k l} <= mixing_coefficient_bound for all pairs k <= l <= n."""
+    tau = contraction_check(theta, link).tau1_p_step
     eta = mixing_coefficients(theta, link, n)
-    p = theta.n_lags
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            bound = tau ** (1 + (l - k - 1) // p)
+            bound = mixing_coefficient_bound(tau, theta.n_lags, k, l)
             if eta[k - 1, l - 1] > bound + 1e-10:
                 return False
     return True

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -92,17 +93,19 @@ class TestErrorVsN:
 
 
 class TestErrorVsSparsity:
-    def test_outputs_and_trend_file(self, tmp_path):
+    @pytest.mark.parametrize("s_values", ["1,4,8", "4,1"])
+    def test_outputs_and_trend_file(self, tmp_path, s_values):
         cfg = make_config(
             tmp_path, "g",
             experiment="error_vs_sparsity",
-            **{"sweep.s_values": "1,4,8", "sweep.n_values": "220"},
+            **{"sweep.s_values": s_values, "sweep.n_values": "220"},
         )
         runs, summary, trend = run_experiment(cfg)
         srows = read_rows(summary)
-        assert [r["s"] for r in srows] == ["1", "4", "8"]
+        ascending = sorted(int(s) for s in s_values.split(","))
+        assert [int(r["s"]) for r in srows] == ascending
         trend_row = read_rows(trend)[0]
-        xs = np.array([1, 4, 8], dtype=float)
+        xs = np.array(ascending, dtype=float)
         ys = np.array([float(r["mean_frob_error"]) for r in srows])
         slope = np.polyfit(xs, ys, 1)[0]
         assert float(trend_row["slope"]) == pytest.approx(float(slope), rel=1e-9)
@@ -118,17 +121,19 @@ class TestErrorVsSparsity:
 
 
 class TestGrid:
-    def test_cardinality_and_matrix(self, tmp_path):
+    @pytest.mark.parametrize("s_values", ["2,4", "4,1"])
+    def test_cardinality_and_matrix(self, tmp_path, s_values):
         cfg = make_config(
             tmp_path, "i",
             experiment="grid",
-            **{"sweep.s_values": "2,4", "sweep.n_values": "100,220"},
+            **{"sweep.s_values": s_values, "sweep.n_values": "100,220"},
         )
         runs, matrix = run_experiment(cfg)
         assert len(read_rows(runs)) == 4 * 3
         lines = open(matrix).read().splitlines()
         assert lines[0] == "s_by_n,100,220"
-        assert len(lines) == 3
+        # matrix rows follow the config order of s
+        assert [line.split(",")[0] for line in lines[1:]] == s_values.split(",")
 
     def test_matrix_means_match_records(self, tmp_path):
         cfg = make_config(
@@ -159,15 +164,20 @@ class TestGrid:
 
 
 class TestSupportRecovery:
-    def test_summary_columns(self, tmp_path):
+    @pytest.mark.parametrize("s_values", ["2", "4,1"])
+    def test_summary_columns(self, tmp_path, s_values):
         cfg = make_config(
             tmp_path, "l",
             experiment="support_recovery",
             N="8", p="1",
-            **{"sweep.s_values": "2", "sweep.n_values": "120,600"},
+            **{"sweep.s_values": s_values, "sweep.n_values": "120,600"},
         )
         runs, summary = run_experiment(cfg)
         srows = read_rows(summary)
+        # summary rows follow the config order of s, then n
+        assert [(r["s"], r["n"]) for r in srows] == [
+            (s, n) for s in s_values.split(",") for n in ("120", "600")
+        ]
         dim_log = math.log(64.0)
         assert float(srows[0]["n_over_log"]) == pytest.approx(120.0 / dim_log, rel=1e-12)
         fracs = [float(r["mean_support_fraction"]) for r in srows]
@@ -266,8 +276,41 @@ class TestDiagnoseDispatch:
 
     def test_unknown_check(self, tmp_path):
         cfg = self.diag_config(tmp_path, "d6", "nope")
-        with pytest.raises(ConfigError, match="check"):
+        with pytest.raises(ConfigError, match="check") as err:
             run_experiment(cfg)
+        assert "gf-bound" in str(err.value)
+
+    # (N, p, diagnose.* keys) small enough for every check to run in well
+    # under a second; s = 0 keeps the concentration trial's mixing norm at 0
+    TINY = {
+        "gf-bound": (1, 2, {"samples": 2}),
+        "eta-bound": (1, 2, {"samples": 1, "n": 3}),
+        "kl-decomp": (1, 2, {"samples": 1}),
+        "psd": (1, 1, {"n": 2000, "segments": 4, "freq_points": 4, "s": 0}),
+        "decay-table": (1, 2, {"p_values": "1,2"}),
+        "grad-bound": (2, 1, {"n": 50, "replicates": 2, "s": 1}),
+        "concentration": (100, 1, {"n": 50, "replicates": 2, "s": 0, "t": 0.5}),
+        "rsc": (2, 1, {"n": 100, "directions": 2, "s": 1}),
+    }
+
+    @pytest.mark.parametrize("check", sorted(TINY))
+    def test_every_check_writes_indexed_files(self, tmp_path, check):
+        n_dims, n_lags, extra = self.TINY[check]
+        cfg = self.diag_config(tmp_path, "d8", check, n_dims=n_dims, n_lags=n_lags, **extra)
+        *written, index = run_experiment(cfg)
+        assert read_rows(index) == [
+            {"check": check, "files": ";".join(os.path.basename(f) for f in written)}
+        ]
+        for fname in written:
+            assert len(open(fname).read().splitlines()) >= 2, fname
+
+    def test_index_independent_of_output_dir(self, tmp_path):
+        indexes = []
+        for name in ("d9", "d9_a_much_longer_directory_name"):
+            cfg = self.diag_config(tmp_path, name, "gf-bound,decay-table", samples=2,
+                                   p_values="1,2")
+            indexes.append(open(run_experiment(cfg)[-1], "rb").read())
+        assert indexes[0] == indexes[1]
 
     def test_grad_bound_trial_csv(self, tmp_path):
         cfg = self.diag_config(
