@@ -27,6 +27,7 @@ from .simulate import (
     random_sparse_theta,
     read_path,
     simulate,
+    simulate_batch,
     write_path,
 )
 from .likelihood import (

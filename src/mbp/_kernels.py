@@ -5,6 +5,10 @@ time, the fused Bernoulli log-likelihood / residual pass inside the solver,
 and the lagged quadratic form evaluated per replicate in the concentration
 trials. All kernels consume pre-drawn uniform variates and deterministic
 inputs, so each is reproducible given its seed.
+
+The chain kernel carries a replicate axis: R independent chains with the same
+tensor advance together, one (R, N p) @ (N p, N) product per time step, so a
+Monte-Carlo trial pays the per-step interpreter cost once instead of R times.
 """
 
 from __future__ import annotations
@@ -17,28 +21,37 @@ __all__ = ["chain_steps", "bernoulli_loss_terms", "lagged_square_sum"]
 
 
 def chain_steps(init_hist, stacked, alpha, eps, uniforms):
-    """Advance the chain one Bernoulli draw per (step, coordinate).
+    """Advance R chains one Bernoulli draw per (step, replicate, coordinate).
 
-    ``init_hist`` is the (p, N) binary start window with the oldest state in
-    row 0, ``stacked`` the (N, N p) stacked tensor, ``uniforms`` the (T, N)
-    pre-drawn variates consumed in (t, i) order. Each draw is
-    Ber(clip(sigmoid(alpha * W h_t), eps, 1 - eps)) with h_t the flattened
-    lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, N) uint8 states.
+    ``init_hist`` is the (R, p, N) binary start window of each replicate with
+    the oldest state in row 0, ``stacked`` the (N, N p) stacked tensor shared
+    by all replicates, ``uniforms`` the (T, R, N) pre-drawn variates;
+    replicate r consumes ``uniforms[:, r]`` in (t, i) order. Each draw is
+    Ber(clip(sigmoid(alpha * W h_t), eps, 1 - eps)) with h_t the replicate's
+    flattened lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, R, N) uint8
+    states.
     """
-    stacked = np.ascontiguousarray(stacked, dtype=np.float64)
+    # the transposed view of a C-contiguous W keeps the R = 1 product on the
+    # same BLAS routine, hence the same rounding, as a matrix-vector product
+    w_t = np.ascontiguousarray(stacked, dtype=np.float64).T
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    alpha, lo, hi = float(alpha), float(eps), 1.0 - float(eps)
-    p, n_dims = np.shape(init_hist)
-    states = np.empty((uniforms.shape[0], n_dims), dtype=np.uint8)
-    # lag window ordered most recent block first, matching the stacked tensor
-    h = np.asarray(init_hist)[::-1].astype(np.float64).ravel()
-    for t in range(uniforms.shape[0]):
-        z = np.clip(sigmoid(alpha * (stacked @ h)), lo, hi)
-        x = (uniforms[t] < z).astype(np.uint8)
-        states[t] = x
+    lo, hi = float(eps), 1.0 - float(eps)
+    # u < clip(z, lo, hi) equals u' < z for z in [0, 1], with u' = -1 where
+    # u < lo (the draw is 1 whatever z is) and u' = 2 where u >= hi (it is 0):
+    # the clip moves out of the loop and every draw stays exactly the same
+    thresholds = np.where(uniforms < hi, uniforms, 2.0)
+    thresholds[uniforms < lo] = -1.0
+    n_reps, p, n_dims = np.shape(init_hist)
+    states = np.empty(uniforms.shape, dtype=np.uint8)
+    # lag windows ordered most recent block first, matching the stacked tensor
+    h = np.asarray(init_hist)[:, ::-1].reshape(n_reps, p * n_dims).astype(np.float64)
+    recent, older, newer = h[:, :n_dims], h[:, n_dims:], h[:, :-n_dims]
+    alpha = float(alpha)
+    for u, x in zip(thresholds, states):
+        np.less(u, sigmoid(alpha * (h @ w_t)), out=x)
         if p > 1:
-            h[n_dims:] = h[:-n_dims]
-        h[:n_dims] = x
+            older[...] = newer
+        recent[...] = x
     return states
 
 

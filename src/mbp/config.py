@@ -29,12 +29,18 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"
 
 EXPERIMENTS = ("error_vs_n", "error_vs_sparsity", "grid", "support_recovery", "diagnose")
 
-# keys the diagnose checks read, as diagnose.<key>
-DIAGNOSE_KEYS = (
-    "check", "samples", "seed", "n", "segments", "freq_points", "family", "c",
-    "alpha", "beta", "p_values", "c1", "replicates", "t", "directions", "s",
-    "theta", "theta_seed",
-)
+
+def _int_list(text: str):
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+# keys the diagnose checks read, as diagnose.<key>, with their value types
+DIAGNOSE_KEYS = {
+    "check": str, "samples": int, "seed": int, "n": int, "segments": int,
+    "freq_points": int, "family": str, "c": float, "alpha": float, "beta": float,
+    "p_values": _int_list, "c1": float, "replicates": int, "t": float,
+    "directions": int, "s": int, "theta": str, "theta_seed": int,
+}
 KNOWN_KEYS = frozenset((
     "experiment", "N", "p", "replicates", "master_seed", "output_dir",
     "sweep.s_values", "sweep.n_values", "link.kind", "link.alpha", "link.eps",
@@ -73,7 +79,7 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _get(mapping, key, default, conv, label=None):
+def _get(mapping, key, default, conv):
     if key not in mapping:
         if default is None:
             raise ConfigError(f"missing required key '{key}'")
@@ -84,10 +90,6 @@ def _get(mapping, key, default, conv, label=None):
         raise
     except Exception as exc:
         raise ConfigError(f"key '{key}': cannot parse {mapping[key]!r} ({exc})") from exc
-
-
-def _int_list(text: str):
-    return tuple(int(x) for x in text.split(",") if x.strip())
 
 
 def _bool(text: str) -> bool:
@@ -122,6 +124,7 @@ class ExperimentConfig:
     point_timeout: float = 0.0
     master_seed: int = 0
     output_dir: str = "out"
+    # diagnose.<key> values under <key>, converted as DIAGNOSE_KEYS says
     diagnose: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,12 +162,14 @@ class ExperimentConfig:
         kind = _get(mapping, "link.kind", "sigmoid", str)
         if kind != "sigmoid":
             raise ConfigError(f"key 'link.kind': unsupported link {kind!r}")
-        diagnose = {
-            k.split(".", 1)[1]: v for k, v in mapping.items() if k.startswith("diagnose.")
-        }
         for key in mapping:
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown key '{key}'")
+        diagnose = {
+            key: _get(mapping, f"diagnose.{key}", None, conv)
+            for key, conv in DIAGNOSE_KEYS.items()
+            if f"diagnose.{key}" in mapping
+        }
         return cls(
             experiment=_get(mapping, "experiment", None, str),
             n_dims=_get(mapping, "N", None, int),

@@ -164,7 +164,8 @@ def _sweep(config: ExperimentConfig):
     """All replicates over s_values x n_values, s-major, in config order.
 
     Once a point has used up ``point_timeout`` seconds, its remaining
-    replicates are skipped and recorded with the metric defaults.
+    replicates are skipped and recorded with the metric defaults; replicate
+    0 always runs, so every point has a result.
     """
     records = []
     for s in config.s_values:
@@ -172,7 +173,8 @@ def _sweep(config: ExperimentConfig):
             point_start = time.perf_counter()
             for rep in range(config.replicates):
                 skip = (
-                    config.point_timeout > 0
+                    rep > 0
+                    and config.point_timeout > 0
                     and time.perf_counter() - point_start > config.point_timeout
                 )
                 records.append(_run_replicate(config, s, n, rep, skip))
@@ -246,21 +248,22 @@ _SWEEPS = {
 }
 
 
-# Diagnostic checks: config -> files written. The benchmark rebinds fit, simulate,
-# the trials and the markov/spectral routines here, so they are looked up as
-# module globals at call time, never captured in a dict, default or partial.
+# Diagnostic checks: config -> files written. config.diagnose holds typed values
+# (ExperimentConfig.from_mapping converts them). The benchmark rebinds fit,
+# simulate, the trials and the markov/spectral routines here, so they are looked
+# up as module globals at call time, never captured in a dict, default or partial.
 
 
 def _seed(config: ExperimentConfig) -> int:
-    return int(config.diagnose.get("seed", config.master_seed))
+    return config.diagnose.get("seed", config.master_seed)
 
 
 def _diag_theta(config: ExperimentConfig):
     spec = config.diagnose
     if "theta" in spec:
         return read_tensor(spec["theta"])
-    s = int(spec.get("s", config.s_values[0] if config.s_values else 0))
-    seed = int(spec.get("theta_seed", config.master_seed))
+    s = spec.get("s", config.s_values[0] if config.s_values else 0)
+    seed = spec.get("theta_seed", config.master_seed)
     return random_sparse_theta(
         config.n_dims, config.n_lags, s,
         config.magnitude_low, config.magnitude_high, seed=seed,
@@ -271,7 +274,7 @@ def _mixing_thetas(config: ExperimentConfig):
     """``diagnose.samples`` dense random tensors rescaled to a mixing norm uniform
     in (0.05, 0.95), from a fresh master-seed stream on every call."""
     rng = np.random.default_rng(config.master_seed)
-    for _ in range(int(config.diagnose.get("samples", 100))):
+    for _ in range(config.diagnose.get("samples", 100)):
         values = rng.standard_normal((config.n_dims, config.n_dims, config.n_lags))
         target = rng.uniform(0.05, 0.95)
         yield ParamTensor(values * (target / mixing_norm(ParamTensor(values), config.link)))
@@ -287,7 +290,7 @@ def _gf_bound(config):
 
 
 def _eta_bound(config):
-    n = int(config.diagnose.get("n", 6))
+    n = config.diagnose.get("n", 6)
     rows = []
     for i, theta in enumerate(_mixing_thetas(config)):
         tau = contraction_check(theta, config.link).tau1_p_step
@@ -315,9 +318,9 @@ def _kl_decomp(config):
 
 def _psd(config):
     spec = config.diagnose
-    n = int(spec.get("n", 200_000))
+    n = spec.get("n", 200_000)
     path = simulate(_diag_theta(config), config.link, n, burn_in=config.burn_in, seed=_seed(config))
-    report = psd_estimate(path, int(spec.get("segments", 50)), int(spec.get("freq_points", 256)))
+    report = psd_estimate(path, spec.get("segments", 50), spec.get("freq_points", 256))
     return [
         _write(config, "diagnose_psd.csv", ["freq", "min_eig"],
                zip(report.freq_grid, report.min_eigs)),
@@ -328,8 +331,8 @@ def _psd(config):
 
 _DECAY_FAMILIES = {
     "constant": lambda c, spec: ConstantDecay(c),
-    "polynomial": lambda c, spec: PolynomialDecay(c, float(spec.get("alpha", 2.0))),
-    "exponential": lambda c, spec: ExponentialDecay(c, float(spec.get("beta", 1.0))),
+    "polynomial": lambda c, spec: PolynomialDecay(c, spec.get("alpha", 2.0)),
+    "exponential": lambda c, spec: ExponentialDecay(c, spec.get("beta", 1.0)),
 }
 
 
@@ -338,8 +341,8 @@ def _decay_table(config):
     family_name = spec.get("family", "polynomial")
     if family_name not in _DECAY_FAMILIES:
         raise ConfigError(f"key 'diagnose.family': unknown family {family_name!r}")
-    family = _DECAY_FAMILIES[family_name](float(spec.get("c", 0.1)), spec)
-    p_values = [int(x) for x in spec.get("p_values", "1,2,4,8,16,32,64,128").split(",")]
+    family = _DECAY_FAMILIES[family_name](spec.get("c", 0.1), spec)
+    p_values = spec.get("p_values", (1, 2, 4, 8, 16, 32, 64, 128))
     rows = [
         [r.p, r.inner_norm, r.mixing_norm, r.concentration, r.diverged]
         for r in decay_scaling_report(family, config.n_dims, p_values, config.link)
@@ -360,9 +363,9 @@ def _grad_bound(config):
     spec = config.diagnose
     report = grad_bound_trial(
         _diag_theta(config), config.link,
-        n=int(spec.get("n", 500)),
-        c1=float(spec.get("c1", 4.0)),
-        replicates=int(spec.get("replicates", 200)),
+        n=spec.get("n", 500),
+        c1=spec.get("c1", 4.0),
+        replicates=spec.get("replicates", 200),
         seed=_seed(config),
         burn_in=config.burn_in,
     )
@@ -376,9 +379,9 @@ def _concentration(config):
     delta = ParamTensor(np.random.default_rng(seed + 1).standard_normal(theta.values.shape))
     report = concentration_trial(
         theta, config.link, delta,
-        n=int(spec.get("n", 2000)),
-        t=float(spec.get("t", 0.1)),
-        replicates=int(spec.get("replicates", 300)),
+        n=spec.get("n", 2000),
+        t=spec.get("t", 0.1),
+        replicates=spec.get("replicates", 300),
         seed=seed, burn_in=config.burn_in,
     )
     return _trial_files(config, "concentration", report)
@@ -388,11 +391,11 @@ def _rsc(config):
     spec = config.diagnose
     theta = _diag_theta(config)
     seed = _seed(config)
-    path = simulate(theta, config.link, int(spec.get("n", 2000)), burn_in=config.burn_in, seed=seed)
+    path = simulate(theta, config.link, spec.get("n", 2000), burn_in=config.burn_in, seed=seed)
     value = rsc_probe(
         theta, config.link, path,
-        s=int(spec.get("s", max(1, config.s_values[0] if config.s_values else 1))),
-        n_directions=int(spec.get("directions", 64)),
+        s=spec.get("s", max(1, config.s_values[0] if config.s_values else 1)),
+        n_directions=spec.get("directions", 64),
         seed=seed,
     )
     return [_write(config, "diagnose_rsc.csv", ["curvature"], [[value]])]

@@ -27,6 +27,7 @@ __all__ = [
     "ResourceLimitError",
     "KernelMatrix",
     "build_kernel",
+    "stationary_law",
     "dobrushin_coefficient",
     "ContractionCheck",
     "contraction_check",
@@ -110,6 +111,19 @@ def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
                 prob = prob * (1.0 - probs_one[:, i])
         kernel[np.arange(n_states), shifted | block] = prob
     return KernelMatrix(probs=kernel, n_dims=n_dims, n_lags=p)
+
+
+def stationary_law(kernel: KernelMatrix) -> np.ndarray:
+    """Stationary distribution pi of the block chain, by one linear solve.
+
+    Solves pi (P - I + 1 1') = 1', which holds exactly for the pi with
+    pi P = pi and sum(pi) = 1. Its solution is unique because every state
+    reaches every other in p steps with positive probability (the clamp keeps
+    each draw's probability at least eps). Indexed by the state encoding.
+    """
+    system = kernel.probs.T + 1.0
+    system[np.diag_indices_from(system)] -= 1.0
+    return np.linalg.solve(system, np.ones(kernel.n_states))
 
 
 def dobrushin_coefficient(kernel) -> float:

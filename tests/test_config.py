@@ -88,7 +88,17 @@ class TestExperimentConfig:
             "diagnose.check = gf-bound\ndiagnose.samples = 9\n"
         )
         cfg = ExperimentConfig.from_mapping(parse_config_text(text))
-        assert cfg.diagnose == {"check": "gf-bound", "samples": "9"}
+        assert cfg.diagnose == {"check": "gf-bound", "samples": 9}
+
+    def test_diagnose_values_typed(self):
+        text = (
+            "experiment = diagnose\nN = 1\np = 2\ndiagnose.check = decay-table\n"
+            "diagnose.samples = 9\ndiagnose.p_values = 1,2\ndiagnose.t = 0.5\n"
+        )
+        cfg = ExperimentConfig.from_mapping(parse_config_text(text))
+        assert cfg.diagnose == {
+            "check": "decay-table", "samples": 9, "p_values": (1, 2), "t": 0.5,
+        }
 
     def test_boolean_parsing(self):
         cfg = ExperimentConfig.from_mapping(

@@ -207,6 +207,17 @@ class TestTimeout:
         assert rows[-1]["converged"] == "0"
         assert rows[-1]["frob_error"] == "nan"
 
+    def test_first_replicate_always_runs(self, tmp_path):
+        cfg = make_config(
+            tmp_path, "n",
+            **{"run.point_timeout_seconds": "1e-9", "replicates": "3",
+               "sweep.n_values": "100"},
+        )
+        runs, _ = run_experiment(cfg)
+        first, *skipped = read_rows(runs)
+        assert math.isfinite(float(first["frob_error"])) and first["converged"] == "1"
+        assert [(r["frob_error"], r["converged"]) for r in skipped] == [("nan", "0")] * 2
+
 
 class TestDiagnoseDispatch:
     def diag_config(self, tmp_path, name, check, n_dims=1, n_lags=2, **extra):
@@ -273,6 +284,11 @@ class TestDiagnoseDispatch:
         out, _ = run_experiment(cfg)
         rows = read_rows(out)
         assert [r["p"] for r in rows] == ["4", "8", "16"]
+
+    def test_bad_value_names_key_and_makes_no_output_dir(self, tmp_path):
+        with pytest.raises(ConfigError, match="diagnose.samples"):
+            run_experiment(self.diag_config(tmp_path, "d_bad", "gf-bound", samples="ten"))
+        assert not os.path.exists(tmp_path / "d_bad")
 
     def test_unknown_check(self, tmp_path):
         cfg = self.diag_config(tmp_path, "d6", "nope")

@@ -8,6 +8,7 @@ import pytest
 from helpers import clamp_free_tensor, path_from_rows, scaled_to_mixing
 
 from mbp.likelihood import (
+    EXACT_MEAN_MAX_BITS,
     concentration_trial,
     grad_bound_trial,
     grad_nll,
@@ -15,10 +16,12 @@ from mbp.likelihood import (
     nll_grad,
     quad_form,
     rsc_probe,
+    stationary_quad_form,
     taylor_remainder,
 )
 from mbp.link import sigmoid_link
-from mbp.simulate import design_matrix, random_sparse_theta, simulate
+from mbp.markov import MAX_KERNEL_BITS
+from mbp.simulate import design_matrix, random_sparse_theta, simulate, simulate_batch
 from mbp.tensor import ParamTensor, stack_tensor, tensor_norm
 
 LINK = sigmoid_link(1.0, 0.05)
@@ -226,6 +229,24 @@ class TestGradBoundTrial:
         assert lines[0] == "replicate,statistic,bound,violated"
         assert len(lines) == 4
 
+    def test_csv_bytes_fixed_at_seed(self, tmp_path):
+        # written by the serial one-path-per-replicate trial; the batched
+        # chain must reproduce every path, hence every byte
+        expected = (
+            "replicate,statistic,bound,violated\n"
+            "0,0.0488499979279,1.20215884098,0\n"
+            "1,0.0457827438478,1.20215884098,0\n"
+            "2,0.0439008465946,1.20215884098,0\n"
+            "3,0.0375,1.20215884098,0\n"
+            "4,0.055,1.20215884098,0\n"
+            "5,0.0470279113598,1.20215884098,0\n"
+        )
+        theta = random_sparse_theta(3, 2, 6, seed=4)
+        report = grad_bound_trial(theta, LINK, n=200, c1=4.0, replicates=6, seed=21, burn_in=100)
+        fname = tmp_path / "trial.csv"
+        report.write_csv(fname)
+        assert fname.read_bytes() == expected.encode("ascii")
+
 
 class TestRscProbe:
     def test_non_negative(self):
@@ -255,7 +276,70 @@ class TestRscProbe:
         assert target / 2 <= value <= target * 2
 
 
+class TestStationaryQuadForm:
+    @pytest.mark.parametrize("n_dims, n_lags", [(2, 2), (3, 1)])
+    def test_matches_long_run_estimate(self, n_dims, n_lags):
+        # 200k steps: 20 independent 10k-step paths, whose quad forms are the
+        # batch means; 4 standard errors of their mean bound the gap
+        rng = np.random.default_rng(10 * n_dims + n_lags)
+        theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, 0.6)
+        delta = ParamTensor(rng.standard_normal((n_dims, n_dims, n_lags)))
+        paths = simulate_batch(theta, LINK, 10_000, range(20), burn_in=200)
+        batch = np.array([quad_form(delta, path, LINK) for path in paths])
+        se = batch.std(ddof=1) / math.sqrt(batch.size)
+        exact = stationary_quad_form(delta, theta, LINK)
+        assert abs(exact - batch.mean()) <= 4.0 * se
+
+    def test_iid_fair_coins(self):
+        # independent fair coins: E <Delta_k, x>^2 = (sum_j d_kj^2 + (sum_j d_kj)^2) / 4
+        delta = ParamTensor(np.array([[[1.0], [2.0]], [[-1.0], [0.5]]]))
+        d = delta.values[:, :, 0]
+        expected = LINK.curvature * ((d**2).sum() + (d.sum(axis=1) ** 2).sum()) / 4.0
+        value = stationary_quad_form(delta, ParamTensor.zeros(2, 2, 1), LINK)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            stationary_quad_form(ParamTensor.zeros(2, 2, 1), ParamTensor.zeros(2, 2, 2), LINK)
+
+
 class TestConcentrationTrial:
+    @staticmethod
+    def replicate_quad_forms(theta, delta, n, replicates, seed):
+        # replicate seeds are children 1.. of the trial seed; child 0 is the
+        # fallback reference run's
+        children = np.random.SeedSequence(seed).spawn(replicates + 1)
+        seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
+        forms = [quad_form(delta, simulate(theta, LINK, n, seed=s), LINK) for s in seeds[1:]]
+        return seeds[0], np.array(forms)
+
+    @pytest.mark.parametrize("n_dims,n_lags", [(2, 2), (EXACT_MEAN_MAX_BITS, 1)])
+    def test_exact_mean_up_to_exact_cap(self, n_dims, n_lags):
+        rng = np.random.default_rng(21)
+        theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, 0.5)
+        delta = ParamTensor(rng.standard_normal((n_dims, n_dims, n_lags)))
+        report = concentration_trial(theta, LINK, delta, n=300, t=0.1, replicates=4, seed=5)
+        _, forms = self.replicate_quad_forms(theta, delta, 300, 4, seed=5)
+        expected = np.abs(forms - stationary_quad_form(delta, theta, LINK))
+        assert np.array_equal([row[1] for row in report.rows], expected)
+
+    # above EXACT_MEAN_MAX_BITS, within the kernel cap (N p = 11, 12) and beyond it
+    @pytest.mark.parametrize(
+        "n_dims,n_lags", [(EXACT_MEAN_MAX_BITS + 1, 1), (6, 2), (MAX_KERNEL_BITS + 1, 1)]
+    )
+    def test_long_chain_fallback_above_exact_cap(self, n_dims, n_lags):
+        theta = ParamTensor.zeros(n_dims, n_dims, n_lags)
+        delta = ParamTensor(
+            np.random.default_rng(22).standard_normal((n_dims, n_dims, n_lags))
+        )
+        report = concentration_trial(
+            theta, LINK, delta, n=50, t=0.1, replicates=2, seed=6, n_ref_terms=n_dims * 400,
+        )
+        ref_seed, forms = self.replicate_quad_forms(theta, delta, 50, 2, seed=6)
+        mean = quad_form(delta, simulate(theta, LINK, 400, seed=ref_seed), LINK)
+        assert np.array_equal([row[1] for row in report.rows], np.abs(forms - mean))
+
+
     def test_zero_direction(self):
         rng = np.random.default_rng(18)
         theta = scaled_to_mixing(rng, 2, 1, LINK, 0.4)

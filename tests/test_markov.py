@@ -22,6 +22,7 @@ from mbp.markov import (
     mixing_row_sum_exact,
     mixing_sum_bound,
     state_to_history,
+    stationary_law,
 )
 from mbp.tensor import ParamTensor
 
@@ -63,6 +64,24 @@ class TestBuildKernel:
     def test_state_decoding(self):
         hist = state_to_history(0b0110, n_dims=2, n_lags=2)
         assert np.array_equal(hist, [[0, 1], [1, 0]])
+
+
+class TestStationaryLaw:
+    @pytest.mark.parametrize("n_dims, n_lags", [(1, 1), (2, 2), (3, 1), (1, 3), (5, 2)])
+    def test_is_a_fixed_point_distribution(self, n_dims, n_lags):
+        rng = np.random.default_rng(n_dims * 10 + n_lags)
+        kernel = build_kernel(scaled_to_mixing(rng, n_dims, n_lags, LINK, 0.8), LINK)
+        pi = stationary_law(kernel)
+        assert pi.shape == (kernel.n_states,)
+        assert pi.min() >= 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        assert np.abs(pi @ kernel.probs - pi).sum() <= 1e-12
+
+    def test_two_state_chain_by_hand(self):
+        # P(0 -> 1) = a, P(1 -> 0) = b: pi = (b, a) / (a + b)
+        kernel = build_kernel(ParamTensor(np.array([[[1.5]]])), LINK)
+        a, b = kernel.probs[0, 1], kernel.probs[1, 0]
+        assert np.allclose(stationary_law(kernel), [b / (a + b), a / (a + b)], rtol=1e-14)
 
 
 class TestDobrushin:

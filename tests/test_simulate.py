@@ -1,5 +1,6 @@
 """Sample-path simulation, design matrix and random ground truths."""
 
+import importlib
 import math
 import warnings
 
@@ -15,9 +16,10 @@ from mbp.simulate import (
     random_sparse_theta,
     read_path,
     simulate,
+    simulate_batch,
     write_path,
 )
-from mbp.tensor import ParamTensor, sparse_approx
+from mbp.tensor import ParamTensor, sparse_approx, stack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
 
@@ -109,6 +111,61 @@ class TestSimulate:
             simulate(theta, LINK, 10, burn_in=-1, seed=0)
         with pytest.raises(ValueError):
             simulate(theta, LINK, 10, seed=-5)
+
+
+def reference_chain(theta, link, n, burn_in, seed):
+    """Step-by-step chain on one replicate: x_t = [u_t < link.eval(W h_t)]."""
+    p = theta.n_lags
+    u = np.random.default_rng(seed).random((p + burn_in + n, theta.n_rows))
+    states = list((u[:p] < 0.5).astype(np.uint8))
+    stacked = stack_tensor(theta)
+    for t in range(p, u.shape[0]):
+        window = np.concatenate(states[: -p - 1 : -1])  # most recent state first
+        states.append((u[t] < link.eval(stacked @ window)).astype(np.uint8))
+    return np.array(states[burn_in:])
+
+
+class TestSimulateBatch:
+    SEEDS = [3 + 1000 * r for r in range(30)]
+
+    @pytest.mark.parametrize(
+        "replicates, n_lags, scale",
+        [(1, 1, 0.8), (30, 1, 0.8), (1, 3, 0.8), (30, 3, 0.8), (30, 3, 800.0)],
+    )
+    def test_each_path_equals_serial_call(self, replicates, n_lags, scale):
+        # scale 800: |alpha * W h| passes 709, where exp(-|v|) underflows,
+        # so the sigmoid reaches 0 or 1 and the clip decides the draws
+        rng = np.random.default_rng(n_lags)
+        theta = ParamTensor(scale * rng.standard_normal((3, 3, n_lags)))
+        seeds = self.SEEDS[:replicates]
+        paths = simulate_batch(theta, LINK, 200, seeds, burn_in=40)
+        assert [path.seed for path in paths] == seeds
+        for path, seed in zip(paths, seeds):
+            assert np.array_equal(path.data, simulate(theta, LINK, 200, burn_in=40, seed=seed).data)
+            assert np.array_equal(path.data, reference_chain(theta, LINK, 200, 40, seed))
+
+    def test_sweep_size_path_equals_serial_call(self):
+        # N = p = 20: each step's product sums over 400 lag entries, where the
+        # batched and the one-row BLAS calls may round differently
+        theta = random_sparse_theta(20, 20, 200, seed=11)
+        paths = simulate_batch(theta, LINK, 60, self.SEEDS, burn_in=20)
+        for path, seed in zip(paths, self.SEEDS):
+            assert np.array_equal(path.data, simulate(theta, LINK, 60, burn_in=20, seed=seed).data)
+
+    def test_chunked_batch_equals_serial(self, monkeypatch):
+        theta = random_sparse_theta(2, 2, 4, seed=8)
+        steps = 2 + 10 + 50
+        # room for the uniforms of 3 replicates: 7 replicates run as 3 + 3 + 1
+        module = importlib.import_module("mbp.simulate")  # mbp.simulate is the function
+        monkeypatch.setattr(module, "MAX_BATCH_BYTES", 3 * 8 * steps * 2)
+        seeds = list(range(7))
+        paths = simulate_batch(theta, LINK, 50, seeds, burn_in=10)
+        for path, seed in zip(paths, seeds):
+            assert np.array_equal(path.data, simulate(theta, LINK, 50, burn_in=10, seed=seed).data)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            simulate_batch(ParamTensor.zeros(2, 2, 1), LINK, 10, [1, -1])
 
 
 class TestDesignMatrix:
