@@ -9,6 +9,10 @@ inputs, so each is reproducible given its seed.
 The chain kernel carries a replicate axis: R independent chains with the same
 tensor advance together, one (R, N p) @ (N p, N) product per time step, so a
 Monte-Carlo trial pays the per-step interpreter cost once instead of R times.
+A single chain (R = 1) whose lag window has at most ``TABLE_MAX_BITS`` bits
+runs from a state table instead: the draw probabilities of each of its
+2^(N p) windows are computed once, by the same call the step loop makes, and
+each step only compares its uniforms against stored floats.
 """
 
 from __future__ import annotations
@@ -16,8 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from .link import sigmoid
+from .markov import _state_bit_matrix
 
 __all__ = ["chain_steps", "bernoulli_loss_terms", "lagged_square_sum"]
+
+# widest lag window (N p bits) of a single chain that runs from a table of its
+# 2^(N p) window states; the 1024-row table takes about 8 ms to fill, the time
+# of some 600 loop steps, and each wider bit doubles that
+TABLE_MAX_BITS = 10
 
 
 def chain_steps(init_hist, stacked, alpha, eps, uniforms):
@@ -30,6 +40,14 @@ def chain_steps(init_hist, stacked, alpha, eps, uniforms):
     Ber(clip(sigmoid(alpha * W h_t), eps, 1 - eps)) with h_t the replicate's
     flattened lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, R, N) uint8
     states.
+
+    A single chain (R = 1) with N p <= ``TABLE_MAX_BITS`` is chosen for the
+    table path, whatever T is. Its table row for a window holds
+    ``sigmoid(alpha * (h @ W'))`` computed from a fresh (1, N p) row h, the
+    same product on the same shapes, and the same sigmoid call, that the
+    step loop makes at that window. So every draw compares the same two
+    floats as in the loop, and the path is the loop's path bit for bit by
+    construction. Several replicates and wider windows step as above.
     """
     # the transposed view of a C-contiguous W keeps the R = 1 product on the
     # same BLAS routine, hence the same rounding, as a matrix-vector product
@@ -42,17 +60,49 @@ def chain_steps(init_hist, stacked, alpha, eps, uniforms):
     thresholds = np.where(uniforms < hi, uniforms, 2.0)
     thresholds[uniforms < lo] = -1.0
     n_reps, p, n_dims = np.shape(init_hist)
-    states = np.empty(uniforms.shape, dtype=np.uint8)
     # lag windows ordered most recent block first, matching the stacked tensor
     h = np.asarray(init_hist)[:, ::-1].reshape(n_reps, p * n_dims).astype(np.float64)
-    recent, older, newer = h[:, :n_dims], h[:, n_dims:], h[:, :-n_dims]
     alpha = float(alpha)
+    if n_reps == 1 and p * n_dims <= TABLE_MAX_BITS:
+        return _table_chain(h, w_t, alpha, thresholds)
+    states = np.empty(uniforms.shape, dtype=np.uint8)
+    recent, older, newer = h[:, :n_dims], h[:, n_dims:], h[:, :-n_dims]
     for u, x in zip(thresholds, states):
         np.less(u, sigmoid(alpha * (h @ w_t)), out=x)
         if p > 1:
             older[...] = newer
         recent[...] = x
     return states
+
+
+def _table_chain(h, w_t, alpha, thresholds):
+    """The one chain of ``chain_steps`` run from a table of its window states.
+
+    A window is kept as its state index, bit k holding entry k of h (the
+    encoding of ``markov``): a step shifts the index up by N, drops the
+    oldest block and puts the new state's bits at the bottom. The table is a
+    flat list, the thresholds are read through a memoryview and the states
+    written to a bytearray: the loop makes no numpy call, and it adds one
+    byte per draw to memory, not a Python float per threshold.
+    """
+    n_bits, n_dims = w_t.shape
+    window = np.empty((1, n_bits))
+    table = []
+    for bits in _state_bit_matrix(n_bits):
+        window[0] = bits
+        table += sigmoid(alpha * (window @ w_t))[0].tolist()
+    mask = (1 << n_bits) - 1
+    state = sum(1 << k for k in np.flatnonzero(h[0]).tolist())
+    u = memoryview(thresholds.ravel())
+    states = bytearray(len(u))
+    for t in range(0, len(u), n_dims):
+        row, new = state * n_dims, 0
+        for i in range(n_dims):
+            if u[t + i] < table[row + i]:
+                states[t + i] = 1
+                new |= 1 << i
+        state = ((state << n_dims) & mask) | new
+    return np.frombuffer(states, dtype=np.uint8).reshape(thresholds.shape)
 
 
 def bernoulli_loss_terms(pred, targets, alpha, eps, want_residual=True):

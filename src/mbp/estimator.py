@@ -119,7 +119,8 @@ def fit(
 
     Starts from ``theta_init`` (zero tensor when omitted) and iterates
     proximal gradient steps until the relative objective change drops below
-    ``config.tol`` or ``config.max_iters`` is hit. The returned trace is
+    ``config.tol`` (converged) or ``config.max_iters`` is hit or the step size
+    underflows while backtracking (both not converged). The returned trace is
     non-increasing; at convergence every gradient entry lies within the
     penalty weight of the subdifferential condition.
     """
@@ -156,18 +157,21 @@ def fit(
     converged = False
     iterations = 0
 
+    def step(point):
+        nonlocal eta
+        cand, f_cand, eta = _prox_step(point, X, Y, link, lam, eta, config.backtrack_factor)
+        return cand, (math.inf if cand is None else f_cand + penalty(cand))
+
     for _ in range(config.max_iters):
         iterations += 1
-        cand, f_cand, eta = _prox_step(y, X, Y, link, lam, eta, config.backtrack_factor)
-        obj_cand = f_cand + penalty(cand)
+        cand, obj_cand = step(y)
         if config.accelerate and obj_cand > obj_x and y is not x:
             # momentum overshoot: redo the step from the last iterate, which
             # the backtracking condition guarantees to descend
-            cand, f_cand, eta = _prox_step(
-                x, X, Y, link, lam, eta, config.backtrack_factor
-            )
-            obj_cand = f_cand + penalty(cand)
+            cand, obj_cand = step(x)
             t_mom = 1.0
+        if cand is None:
+            break  # the step size underflowed: a stall, not convergence
         if not math.isfinite(obj_cand):
             raise RuntimeError("objective became non-finite during descent")
         obj_cand = min(obj_cand, obj_x)  # guard against roundoff in the trace
@@ -195,7 +199,11 @@ def fit(
 
 
 def _prox_step(point, X, Y, link, lam, eta, backtrack):
-    """One backtracked proximal step from ``point``; returns (cand, loss, eta)."""
+    """One backtracked proximal step from ``point``; returns (cand, loss, eta).
+
+    ``cand`` is None when ``eta`` falls below ``_MIN_STEP`` before the
+    sufficient-decrease test passes.
+    """
     f_pt, g = _nll_grad_on_design(point, X, Y, link)
     while True:
         cand = soft_threshold(point - eta * g, eta * lam)
@@ -207,7 +215,7 @@ def _prox_step(point, X, Y, link, lam, eta, backtrack):
         eta *= backtrack
         if eta < _MIN_STEP:
             # cannot make progress beyond floating point resolution
-            return point, f_pt, eta
+            return None, f_pt, eta
 
 
 def kkt_residual(

@@ -47,6 +47,14 @@ __all__ = [
 MAX_KERNEL_BITS = 14
 MAX_KL_BITS = 10
 MAX_ENUM_BITS = 20
+# pivot rows of the pruned Dobrushin scan; on dense 1024-state p-step kernels
+# 8 pivots leave under 0.5 % of the row pairs to evaluate, and were faster
+# than 2, 4 or 12
+DOBRUSHIN_PIVOTS = 8
+# covers the rounding of the distances in a triangle bound and of the pair it
+# bounds: a sum of S terms totalling at most 2 is off by under S ulps, about
+# 4e-12 at the 2^14 states of MAX_KERNEL_BITS
+_PRUNE_SLACK = 1e-9
 
 
 class ResourceLimitError(ValueError):
@@ -127,17 +135,53 @@ def stationary_law(kernel: KernelMatrix) -> np.ndarray:
 
 
 def dobrushin_coefficient(kernel) -> float:
-    """Largest total-variation distance between two rows of a stochastic matrix."""
+    """Largest total-variation distance between two rows of a stochastic matrix.
+
+    Exact, with pruning. The distance of every row to a few pivot rows
+    (``DOBRUSHIN_PIVOTS``, each the row farthest from the pivots before it)
+    is computed first; the largest of these starts the running maximum.
+    A pair (i, j) is then evaluated only when its triangle bound
+    min_k d(i, k) + d(k, j) plus ``_PRUNE_SLACK`` exceeds that maximum, so a
+    skipped pair cannot beat it. Every evaluated distance is
+    0.5 * sum |P[j] - P[i]| over one contiguous row, the float a scan of all
+    pairs computes for that pair (|a - b| == |b - a| exactly), so the result
+    equals that scan's bit for bit. With all distances equal (a permutation
+    matrix) nothing prunes, and the cost is the full scan's plus the pivots'.
+    """
     P = kernel.probs if isinstance(kernel, KernelMatrix) else np.asarray(kernel, float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("kernel must be a square matrix")
+    if not np.isfinite(P).all():
+        raise ValueError("kernel has non-finite entries")
     if P.min() < -1e-12 or np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("kernel is not row-stochastic")
-    worst = 0.0
+    P = np.ascontiguousarray(P)
+    pivot_dist = _pivot_distances(P)
+    worst = float(pivot_dist.max())
     for i in range(P.shape[0] - 1):
-        d = 0.5 * np.abs(P[i + 1 :] - P[i]).sum(axis=1).max()
-        worst = max(worst, float(d))
+        bound = (pivot_dist[:, i : i + 1] + pivot_dist[:, i + 1 :]).min(axis=0)
+        rows = np.flatnonzero(bound + _PRUNE_SLACK > worst) + (i + 1)
+        if rows.size:
+            worst = max(worst, float(0.5 * np.abs(P[rows] - P[i]).sum(axis=1).max()))
     return worst
+
+
+def _pivot_distances(P: np.ndarray) -> np.ndarray:
+    """(pivots, S) total-variation distances of every row to each pivot row.
+
+    Pivots are taken farthest-first from row 0: the next pivot is the row
+    whose nearest pivot is farthest away. All pivots share one difference
+    buffer, so the peak holds one extra copy of P.
+    """
+    diff = np.empty_like(P)
+    nearest = np.full(P.shape[0], np.inf)
+    pivot, rows = 0, []
+    for _ in range(min(DOBRUSHIN_PIVOTS, P.shape[0])):
+        np.abs(np.subtract(P, P[pivot], out=diff), out=diff)
+        rows.append(0.5 * diff.sum(axis=1))
+        nearest = np.minimum(nearest, rows[-1])
+        pivot = int(nearest.argmax())
+    return np.array(rows)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Penalty policies, soft thresholding, the proximal solver and error metrics."""
 
+import importlib
 import math
 
 import numpy as np
@@ -138,6 +139,23 @@ class TestFit:
         res = fit(path, LINK, FitConfig(lam=1e-4, tol=1e-14, max_iters=3))
         assert not res.converged
         assert res.iterations == 3
+
+    def test_step_underflow_is_not_convergence(self, monkeypatch):
+        # every candidate but the zero start scores 1.0 above its loss, so
+        # backtracking from zero shrinks the step below _MIN_STEP
+        module = importlib.import_module("mbp.estimator")
+        loss = module._nll_on_design
+
+        def inflated(d, X, Y, link):
+            return loss(d, X, Y, link) + (1.0 if d.any() else 0.0)
+
+        monkeypatch.setattr(module, "_nll_on_design", inflated)
+        path = simulate(random_sparse_theta(3, 2, 6, seed=5), LINK, 200, seed=5)
+        res = fit(path, LINK, FitConfig(lam=1e-4))
+        assert res.converged is False
+        assert res.iterations == 1
+        assert res.final_step < module._MIN_STEP
+        assert not res.theta_hat.values.any()
 
     def test_theta_init_used_and_validated(self):
         theta = random_sparse_theta(2, 1, 2, seed=6)

@@ -1,5 +1,6 @@
 """Exact block kernels, contraction coefficients, mixing bounds and KL lemmas."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from helpers import scaled_to_mixing
 
 from mbp.link import sigmoid_link
 from mbp.markov import (
+    DOBRUSHIN_PIVOTS,
     ResourceLimitError,
     build_kernel,
     check_mixing_coefficient_bound,
@@ -84,6 +86,31 @@ class TestStationaryLaw:
         assert np.allclose(stationary_law(kernel), [b / (a + b), a / (a + b)], rtol=1e-14)
 
 
+def full_scan_dobrushin(P):
+    """The unpruned O(S^3) scan: every row against all rows below it."""
+    worst = 0.0
+    for i in range(P.shape[0] - 1):
+        d = 0.5 * np.abs(P[i + 1 :] - P[i]).sum(axis=1).max()
+        worst = max(worst, float(d))
+    return worst
+
+
+def p_step_kernels(n_dims, n_lags, count, seed):
+    """p-step kernels of dense tensors with mixing norm uniform in (0.05, 0.95)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, rng.uniform(0.05, 0.95))
+        yield np.linalg.matrix_power(build_kernel(theta, LINK).probs, n_lags)
+
+
+def hadamard_halves(order):
+    """0/1 rows marking the +1 entries of a Sylvester Hadamard matrix."""
+    h = np.ones((1, 1))
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h > 0
+
+
 class TestDobrushin:
     def test_identity_kernel(self):
         assert dobrushin_coefficient(np.eye(2)) == pytest.approx(1.0)
@@ -96,6 +123,64 @@ class TestDobrushin:
         P = np.array([[0.9, 0.1], [0.2, 0.8]])
         assert dobrushin_coefficient(P) == pytest.approx(0.7)
         assert dobrushin_coefficient(P) == pytest.approx(abs(1 - 0.9 - 0.8))
+
+    @pytest.mark.parametrize(
+        "n_dims, n_lags, count", [(2, 2, 8), (3, 2, 8), (6, 1, 4), (5, 2, 2), (10, 1, 1)]
+    )
+    def test_dense_kernels_equal_full_scan(self, n_dims, n_lags, count):
+        # 16, 64 and 1024 states; bit-for-bit equality, not closeness
+        for P in p_step_kernels(n_dims, n_lags, count, seed=n_dims * 10 + n_lags):
+            assert dobrushin_coefficient(P) == full_scan_dobrushin(P)
+
+    def test_permutation_prunes_nothing(self):
+        # every pair sits at distance 1, so no triangle bound rules one out
+        P = np.eye(64)[np.random.default_rng(6).permutation(64)]
+        assert dobrushin_coefficient(P) == full_scan_dobrushin(P) == 1.0
+
+    def test_rank_one_is_zero(self):
+        P = np.tile(np.random.default_rng(7).dirichlet(np.ones(32)), (32, 1))
+        assert dobrushin_coefficient(P) == full_scan_dobrushin(P) == 0.0
+
+    def test_single_state(self):
+        assert dobrushin_coefficient(np.ones((1, 1))) == 0.0
+
+    def test_max_pair_without_pivot(self):
+        # uniform laws on the halves of a Hadamard code: the 14 filler rows
+        # lie at distance 0.5 from each other and from rows a and b, which
+        # are complements at distance 1. All nearest-pivot distances tie, so
+        # farthest-first takes the fillers in index order, and the largest
+        # pair (a, b) is found by the pruned scan, not by a pivot
+        halves = hadamard_halves(16)
+        rows = np.vstack([halves[2:], halves[1], ~halves[1]]) / 8.0
+        assert rows.shape[0] - 2 > DOBRUSHIN_PIVOTS
+        assert dobrushin_coefficient(rows) == full_scan_dobrushin(rows) == 1.0
+
+    def test_slack_covers_rounding_at_a_tight_bound(self, monkeypatch):
+        # k lies on the segment from a to b, so the triangle bound of (a, b)
+        # through k is tight; a' and b' are a and b with their columns
+        # permuted, at the same true distance. Rounding puts the computed
+        # d(a, b) above both its computed bound and d(a', b'), the largest
+        # pivot distance, so only the slack keeps the pair in the scan
+        monkeypatch.setattr(importlib.import_module("mbp.markov"), "DOBRUSHIN_PIVOTS", 2)
+        rng = np.random.default_rng(82)
+        a, b = np.zeros(8), np.zeros(8)
+        a[:6], b[:6] = rng.dirichlet(np.ones(6), size=2)
+        k = 0.4 * a + 0.6 * b
+        perm = np.r_[rng.permutation(6), 6, 7]
+        P = np.vstack([k, a[perm], b[perm], a, b, k, k, k])
+
+        def tv(x, y):
+            return 0.5 * np.abs(x - y).sum()
+
+        assert tv(a, b) > max(tv(a, k) + tv(k, b), tv(a[perm], b[perm]))
+        assert dobrushin_coefficient(P) == full_scan_dobrushin(P) == tv(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dobrushin_coefficient(np.array([[bad, bad], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            dobrushin_coefficient(np.array([[0.5, 0.5], [bad, 0.0]]))
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):

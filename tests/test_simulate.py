@@ -1,5 +1,6 @@
 """Sample-path simulation, design matrix and random ground truths."""
 
+import hashlib
 import importlib
 import math
 import warnings
@@ -9,6 +10,7 @@ import pytest
 
 from helpers import path_from_rows
 
+from mbp import _kernels
 from mbp.link import sigmoid_link
 from mbp.simulate import (
     SamplePath,
@@ -166,6 +168,50 @@ class TestSimulateBatch:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             simulate_batch(ParamTensor.zeros(2, 2, 1), LINK, 10, [1, -1])
+
+
+class TestTableChain:
+    """Single chains with N p <= TABLE_MAX_BITS run from a table of window states."""
+
+    @pytest.mark.parametrize("scale", [0.8, 800.0])
+    @pytest.mark.parametrize("n_dims, n_lags", [(1, 1), (5, 2), (10, 1), (2, 5), (11, 1)])
+    def test_path_equals_step_by_step_reference(self, n_dims, n_lags, scale):
+        # N p = 1 and 10 run from the table, N p = 11 steps; scale 800 makes
+        # the sigmoid reach 0 or 1, so the clip decides the draws
+        rng = np.random.default_rng(n_dims * 10 + n_lags)
+        theta = ParamTensor(scale * rng.standard_normal((n_dims, n_dims, n_lags)))
+        path = simulate(theta, LINK, 400, burn_in=30, seed=21)
+        assert np.array_equal(path.data, reference_chain(theta, LINK, 400, 30, 21))
+
+    def test_selected_by_replicates_and_window_bits(self, monkeypatch):
+        calls = []
+        table_chain = _kernels._table_chain
+        monkeypatch.setattr(
+            _kernels, "_table_chain", lambda *args: calls.append(1) or table_chain(*args)
+        )
+        assert _kernels.TABLE_MAX_BITS == 10
+        simulate(ParamTensor.zeros(5, 5, 2), LINK, 20, burn_in=0, seed=1)
+        assert len(calls) == 1
+        simulate(ParamTensor.zeros(11, 11, 1), LINK, 20, burn_in=0, seed=1)
+        simulate_batch(ParamTensor.zeros(5, 5, 2), LINK, 20, [1, 2], burn_in=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "theta, n, burn_in, seed, digest",
+        [
+            # the spectral-floor run: fair coins, N = p = 1, 100k steps
+            (ParamTensor.zeros(1, 1, 1), 100_000, 1000, 7,
+             "131cedb07d56c239c1f951fadfd6fd318f20353ca57fec2a9fb845c2c4f1f8d5"),
+            (random_sparse_theta(5, 2, 20, seed=3), 5000, 100, 11,
+             "c15fe821c4d3cce380a3dbc0e134e285d20f49883e1c8e7790c4906813f15872"),
+        ],
+        ids=["psd_scale", "n5_p2"],
+    )
+    def test_fixed_seed_fingerprint(self, theta, n, burn_in, seed, digest):
+        # digests of the paths the step-by-step loop draws at these seeds:
+        # any changed draw changes them
+        path = simulate(theta, LINK, n, burn_in=burn_in, seed=seed)
+        assert hashlib.sha256(path.data.tobytes()).hexdigest() == digest
 
 
 class TestDesignMatrix:
