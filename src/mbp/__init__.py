@@ -21,7 +21,6 @@ from .tensor import (
     write_tensor,
 )
 from .simulate import (
-    DesignMatrix,
     SamplePath,
     design_matrix,
     random_sparse_theta,
@@ -31,11 +30,9 @@ from .simulate import (
     write_path,
 )
 from .likelihood import (
-    LossEval,
     TrialReport,
     concentration_trial,
     grad_bound_trial,
-    grad_nll,
     nll,
     nll_grad,
     quad_form,
@@ -51,7 +48,6 @@ from .estimator import (
     kkt_residual,
     lambda_policy,
     soft_threshold,
-    support_threshold,
     support_top_s,
 )
 from .markov import (
@@ -66,7 +62,6 @@ from .markov import (
     kl_bernoulli,
     kl_bernoulli_bound,
     kl_chain_decomposition,
-    mixing_coefficient_exact,
     mixing_coefficients,
     mixing_row_sum_exact,
     mixing_sum_bound,
@@ -76,7 +71,6 @@ from .spectral import (
     ExponentialDecay,
     PolynomialDecay,
     SpectralReport,
-    autocorr_min_eig,
     decay_scaling_report,
     psd_estimate,
 )

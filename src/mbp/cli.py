@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimator import FitConfig, fit, lambda_policy
+from .estimator import _MIN_STEP, FitConfig, fit, lambda_policy
 from .experiments import run_experiment
 from .link import sigmoid_link
 from .simulate import random_sparse_theta, read_path, simulate, write_path
@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit_p.add_argument("--tol", type=float, default=1e-8)
     fit_p.add_argument("--max-iters", type=int, default=5000)
-    fit_p.add_argument("--no-accelerate", action="store_true")
     fit_p.add_argument("--out", required=True, help="output tensor file")
     _add_link_flags(fit_p)
 
@@ -107,18 +106,11 @@ def _cmd_fit(args) -> int:
         mode = parts[0]
         c2 = float(parts[1]) if len(parts) > 1 else None
         lam = lambda_policy(path.n, path.n_dims, path.n_lags, link=link, c2=c2, mode=mode)
-    result = fit(
-        path,
-        link,
-        FitConfig(
-            lam=lam,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            accelerate=not args.no_accelerate,
-        ),
-    )
+    result = fit(path, link, FitConfig(lam=lam, max_iters=args.max_iters, tol=args.tol))
     write_tensor(result.theta_hat, args.out)
     status = "converged" if result.converged else "max-iters reached"
+    if result.final_step < _MIN_STEP:
+        status = "step size underflowed"
     print(
         f"wrote {args.out}: lambda={lam:.6g} iterations={result.iterations} "
         f"objective={result.objective_trace[-1]:.8f} ({status})"

@@ -46,7 +46,7 @@ KNOWN_KEYS = frozenset((
     "sweep.s_values", "sweep.n_values", "link.kind", "link.alpha", "link.eps",
     "lambda.mode", "lambda.c2", "lambda.value",
     "theta.magnitude_low", "theta.magnitude_high", "sim.burn_in",
-    "fit.tol", "fit.max_iters", "fit.accelerate", "run.point_timeout_seconds",
+    "fit.tol", "fit.max_iters", "run.point_timeout_seconds",
 )) | {f"diagnose.{key}" for key in DIAGNOSE_KEYS}
 
 # Penalty constant used by the harness when the config does not set
@@ -92,15 +92,6 @@ def _get(mapping, key, default, conv):
         raise ConfigError(f"key '{key}': cannot parse {mapping[key]!r} ({exc})") from exc
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated settings of one experiment run."""
@@ -120,7 +111,6 @@ class ExperimentConfig:
     burn_in: int = 1000
     fit_tol: float = 1e-6
     fit_max_iters: int = 5000
-    fit_accelerate: bool = True
     point_timeout: float = 0.0
     master_seed: int = 0
     output_dir: str = "out"
@@ -186,7 +176,6 @@ class ExperimentConfig:
             burn_in=_get(mapping, "sim.burn_in", 1000, int),
             fit_tol=_get(mapping, "fit.tol", 1e-6, float),
             fit_max_iters=_get(mapping, "fit.max_iters", 5000, int),
-            fit_accelerate=_get(mapping, "fit.accelerate", True, _bool),
             point_timeout=_get(mapping, "run.point_timeout_seconds", 0.0, float),
             master_seed=_get(mapping, "master_seed", 0, int),
             output_dir=_get(mapping, "output_dir", "out", str),

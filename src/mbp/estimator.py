@@ -1,8 +1,8 @@
 """l1-penalized maximum likelihood fitting by proximal gradient descent.
 
 The solver minimizes the normalized negative log-likelihood plus an
-elementwise l1 penalty. Steps are plain ISTA with backtracking against the
-standard quadratic upper model; optional momentum (with restart whenever the
+elementwise l1 penalty. Each proximal gradient step backtracks against the
+standard quadratic upper model; momentum (restarted whenever the
 accelerated step would break monotonicity) speeds convergence while keeping
 the objective trace non-increasing. Support selection and error metrics for
 recovery experiments live here as well.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import _nll_grad_on_design, _nll_on_design, grad_nll
+from .likelihood import _nll_grad_on_design, _nll_on_design, nll_grad
 from .link import LinkSpec
 from .simulate import SamplePath, design_matrix
 from .tensor import ParamTensor, stack_tensor, unstack_tensor
@@ -28,7 +28,6 @@ __all__ = [
     "fit",
     "kkt_residual",
     "support_top_s",
-    "support_threshold",
     "ErrorMetrics",
     "error_metrics",
 ]
@@ -43,9 +42,6 @@ class FitConfig:
     lam: float
     max_iters: int = 5000
     tol: float = 1e-8
-    step_init: float = 1.0
-    backtrack_factor: float = 0.5
-    accelerate: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -54,10 +50,6 @@ class FitConfig:
             raise ValueError("max_iters must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -117,12 +109,12 @@ def fit(
 ) -> FitResult:
     """Solve the l1-penalized maximum-likelihood problem on ``path``.
 
-    Starts from ``theta_init`` (zero tensor when omitted) and iterates
-    proximal gradient steps until the relative objective change drops below
-    ``config.tol`` (converged) or ``config.max_iters`` is hit or the step size
-    underflows while backtracking (both not converged). The returned trace is
-    non-increasing; at convergence every gradient entry lies within the
-    penalty weight of the subdifferential condition.
+    Starts from ``theta_init`` (zero tensor when omitted) at step size 1 and
+    iterates accelerated proximal gradient steps until the relative objective
+    change drops below ``config.tol`` (converged) or ``config.max_iters`` is
+    hit or the step size underflows while backtracking (both not converged).
+    The returned trace is non-increasing; at convergence every gradient entry
+    lies within the penalty weight of the subdifferential condition.
     """
     n_dims, p, lam = path.n_dims, path.n_lags, config.lam
     if theta_init is None:
@@ -136,22 +128,18 @@ def fit(
             raise ValueError("theta_init shape does not match the path")
         x = stack_tensor(theta_init)
 
-    X = design_matrix(path).data
+    X = design_matrix(path)
     Y = path.samples().astype(np.float64)
 
     def penalty(d):
         return lam * float(np.abs(d).sum())
 
-    def objective_parts(d):
-        return _nll_on_design(d, X, Y, link)
-
-    f_x = objective_parts(x)
-    obj_x = f_x + penalty(x)
+    obj_x = _nll_on_design(x, X, Y, link) + penalty(x)
     if not math.isfinite(obj_x):
         raise RuntimeError("objective is not finite at the initial point")
 
     trace = [obj_x]
-    eta = config.step_init
+    eta = 1.0
     y = x
     t_mom = 1.0
     converged = False
@@ -159,13 +147,13 @@ def fit(
 
     def step(point):
         nonlocal eta
-        cand, f_cand, eta = _prox_step(point, X, Y, link, lam, eta, config.backtrack_factor)
+        cand, f_cand, eta = _prox_step(point, X, Y, link, lam, eta)
         return cand, (math.inf if cand is None else f_cand + penalty(cand))
 
     for _ in range(config.max_iters):
         iterations += 1
         cand, obj_cand = step(y)
-        if config.accelerate and obj_cand > obj_x and y is not x:
+        if obj_cand > obj_x and y is not x:
             # momentum overshoot: redo the step from the last iterate, which
             # the backtracking condition guarantees to descend
             cand, obj_cand = step(x)
@@ -179,12 +167,9 @@ def fit(
         x_prev, x = x, cand
         obj_x = obj_cand
         trace.append(obj_x)
-        if config.accelerate:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = x + ((t_mom - 1.0) / t_next) * (x - x_prev)
-            t_mom = t_next
-        else:
-            y = x
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = x + ((t_mom - 1.0) / t_next) * (x - x_prev)
+        t_mom = t_next
         if rel_change <= config.tol:
             converged = True
             break
@@ -198,11 +183,11 @@ def fit(
     )
 
 
-def _prox_step(point, X, Y, link, lam, eta, backtrack):
-    """One backtracked proximal step from ``point``; returns (cand, loss, eta).
+def _prox_step(point, X, Y, link, lam, eta):
+    """One proximal step from ``point``, halving ``eta`` until it descends.
 
-    ``cand`` is None when ``eta`` falls below ``_MIN_STEP`` before the
-    sufficient-decrease test passes.
+    Returns (cand, loss, eta); ``cand`` is None when ``eta`` falls below
+    ``_MIN_STEP`` before the sufficient-decrease test passes.
     """
     f_pt, g = _nll_grad_on_design(point, X, Y, link)
     while True:
@@ -212,7 +197,7 @@ def _prox_step(point, X, Y, link, lam, eta, backtrack):
         quad = f_pt + float((g * diff).sum()) + float((diff * diff).sum()) / (2.0 * eta)
         if f_cand <= quad + 1e-12 * max(1.0, abs(f_pt)):
             return cand, f_cand, eta
-        eta *= backtrack
+        eta *= 0.5
         if eta < _MIN_STEP:
             # cannot make progress beyond floating point resolution
             return None, f_pt, eta
@@ -226,7 +211,7 @@ def kkt_residual(
     On the support the gradient must equal -lam * sign(theta); elsewhere its
     magnitude must not exceed lam. Returns the largest violation.
     """
-    g = grad_nll(theta_hat, path, link).values
+    g = nll_grad(theta_hat, path, link)[1].values
     th = theta_hat.values
     on = th != 0.0
     worst = 0.0
@@ -246,14 +231,6 @@ def support_top_s(t: ParamTensor, s: int) -> frozenset:
     return frozenset(
         tuple(int(c) for c in np.unravel_index(k, t.values.shape)) for k in order
     )
-
-
-def support_threshold(t: ParamTensor, gamma: float) -> frozenset:
-    """Index triples whose magnitude is at least ``gamma``."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    idx = np.argwhere(np.abs(t.values) >= gamma)
-    return frozenset(tuple(int(c) for c in row) for row in idx)
 
 
 @dataclass(frozen=True)

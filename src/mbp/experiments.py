@@ -141,12 +141,7 @@ def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int, skip: boo
     result = fit(
         path,
         config.link,
-        FitConfig(
-            lam=lam,
-            max_iters=config.fit_max_iters,
-            tol=config.fit_tol,
-            accelerate=config.fit_accelerate,
-        ),
+        FitConfig(lam=lam, max_iters=config.fit_max_iters, tol=config.fit_tol),
     )
     metrics = error_metrics(result.theta_hat, theta_star, s)
     return RunRecord(
@@ -305,13 +300,11 @@ def _eta_bound(config):
 
 
 def _kl_decomp(config):
-    n_states = 1 << (config.n_dims * config.n_lags)
     rows = []
     for i, theta in enumerate(_mixing_thetas(config)):
-        for z in range(n_states):
-            for y in range(n_states):
-                res = kl_chain_decomposition(theta, config.link, z, y)
-                rows.append([i, z, y, res.lhs, res.rhs, res.agree])
+        res = kl_chain_decomposition(theta, config.link)
+        for z, y in np.ndindex(res.lhs.shape):
+            rows.append([i, z, y, res.lhs[z, y], res.rhs[z, y], res.agree[z, y]])
     columns = ["sample", "z", "y", "lhs", "rhs", "agree"]
     return [_write(config, "diagnose_kl_decomp.csv", columns, rows)]
 

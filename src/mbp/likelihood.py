@@ -32,9 +32,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "LossEval",
     "nll",
-    "grad_nll",
     "nll_grad",
     "quad_form",
     "stationary_quad_form",
@@ -54,14 +52,6 @@ __all__ = [
 EXACT_MEAN_MAX_BITS = 10
 
 
-@dataclass(frozen=True)
-class LossEval:
-    """Normalized loss value and its gradient tensor."""
-
-    value: float
-    grad: ParamTensor
-
-
 def _check_shapes(theta: ParamTensor, path: SamplePath) -> None:
     if (
         theta.n_rows != path.n_dims
@@ -77,23 +67,23 @@ def _check_shapes(theta: ParamTensor, path: SamplePath) -> None:
 def nll(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:
     """Normalized negative log-likelihood of the path under ``theta``."""
     _check_shapes(theta, path)
-    X = design_matrix(path).data
+    X = design_matrix(path)
     Y = path.samples().astype(np.float64)
     return _nll_on_design(stack_tensor(theta), X, Y, link)
 
 
-def nll_grad(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> LossEval:
-    """Loss value and exact gradient in one pass."""
+def nll_grad(
+    theta: ParamTensor, path: SamplePath, link: LinkSpec
+) -> tuple[float, ParamTensor]:
+    """(:func:`nll`, its exact gradient) in one pass.
+
+    Every gradient entry is bounded by lipschitz / eps.
+    """
     _check_shapes(theta, path)
-    X = design_matrix(path).data
+    X = design_matrix(path)
     Y = path.samples().astype(np.float64)
     value, grad_mat = _nll_grad_on_design(stack_tensor(theta), X, Y, link)
-    return LossEval(value=value, grad=unstack_tensor(grad_mat, theta.n_lags))
-
-
-def grad_nll(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> ParamTensor:
-    """Gradient of :func:`nll`; every entry is bounded by lipschitz / eps."""
-    return nll_grad(theta, path, link).grad
+    return value, unstack_tensor(grad_mat, theta.n_lags)
 
 
 def _nll_grad_on_design(stacked, X, Y, link):
@@ -154,10 +144,12 @@ def taylor_remainder(
     _check_shapes(theta_star, path)
     if theta_star.values.shape != delta.values.shape:
         raise ValueError("theta_star and delta shapes differ")
-    shifted = ParamTensor(theta_star.values + delta.values)
-    base = nll_grad(theta_star, path, link)
-    inner = float((base.grad.values * delta.values).sum())
-    return nll(shifted, path, link) - base.value - inner
+    X = design_matrix(path)
+    Y = path.samples().astype(np.float64)
+    base, shift = stack_tensor(theta_star), stack_tensor(delta)
+    value, grad = _nll_grad_on_design(base, X, Y, link)
+    inner = float((grad * shift).sum())
+    return _nll_on_design(base + shift, X, Y, link) - value - inner
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +209,7 @@ def grad_bound_trial(
     rows = []
     paths = simulate_batch(theta_star, link, n, _spawn_seeds(seed, replicates), burn_in=burn_in)
     for rep, path in enumerate(paths):
-        stat = tensor_norm(grad_nll(theta_star, path, link), "inf")
+        stat = tensor_norm(nll_grad(theta_star, path, link)[1], "inf")
         rows.append((rep, stat, bound, stat > bound))
     rate = sum(v for *_, v in rows) / replicates
     return TrialReport(

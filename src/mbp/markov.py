@@ -31,7 +31,6 @@ __all__ = [
     "dobrushin_coefficient",
     "ContractionCheck",
     "contraction_check",
-    "mixing_coefficient_exact",
     "mixing_coefficients",
     "check_mixing_coefficient_bound",
     "mixing_coefficient_bound",
@@ -297,15 +296,6 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     return eta
 
 
-def mixing_coefficient_exact(
-    theta: ParamTensor, link: LinkSpec, n: int, k: int, l: int
-) -> float:
-    """Single exact mixing coefficient eta_{k l} (1-based, k <= l <= n)."""
-    if not 1 <= k <= l <= n:
-        raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    return float(mixing_coefficients(theta, link, n)[k - 1, l - 1])
-
-
 def mixing_coefficient_bound(tau: float, p: int, k: int, l: int) -> float:
     """tau^(1 + floor((l-k-1)/p)), the bound on eta_{k l} from the p-step contraction tau."""
     return tau ** (1 + (l - k - 1) // p)
@@ -366,22 +356,25 @@ def kl_bernoulli_bound(p_: float, q_: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class KlDecomposition:
-    """Block KL divergence versus its chain-rule decomposition."""
+    """Block KL divergences versus their chain-rule decompositions.
 
-    lhs: float
-    rhs: float
-    agree: bool
+    (S, S) tables over the 2^(N p) start states: entry [z, y] compares the
+    laws started from histories z and y.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    agree: np.ndarray
 
 
-def kl_chain_decomposition(
-    theta: ParamTensor, link: LinkSpec, z_state: int, y_state: int
-) -> KlDecomposition:
-    """KL between p-block laws started from two histories, both ways.
+def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecomposition:
+    """KL between p-block laws started from every pair of histories, both ways.
 
-    ``lhs`` is the exact divergence between the two next-block laws (rows of
-    the p-step kernel); ``rhs`` accumulates, step by step, the expected
-    one-step divergences along hybrid histories whose sampled part follows
-    the first law. The two agree to 1e-10 for every p-Markov chain.
+    ``lhs[z, y]`` is the exact divergence between the two next-block laws
+    (rows z and y of the p-step kernel, built once); ``rhs[z, y]``
+    accumulates, step by step, the expected one-step divergences along
+    hybrid histories whose sampled part follows the law started from z.
+    The two agree to 1e-10 for every p-Markov chain.
     """
     n_dims, p = theta.n_rows, theta.n_lags
     if n_dims * p > MAX_KL_BITS:
@@ -390,35 +383,39 @@ def kl_chain_decomposition(
         )
     kernel = build_kernel(theta, link)
     p_step = np.linalg.matrix_power(kernel.probs, p)
-    row_z = p_step[z_state]
-    row_y = p_step[y_state]
-    lhs = float((row_z * np.log(row_z / row_y)).sum())
-
+    n_states = kernel.n_states
     stacked = stack_tensor(theta)
-    hist_z = state_to_history(z_state, n_dims, p).astype(np.float64)
-    hist_y = state_to_history(y_state, n_dims, p).astype(np.float64)
+    hists = [state_to_history(s, n_dims, p).astype(np.float64) for s in range(n_states)]
 
     def step_probs(recent, start):
         # recent: list of sampled states, most recent first; start fills the rest
         window = np.concatenate([np.array(recent[:p]).reshape(-1, n_dims), start])[:p]
         return np.asarray(link.eval(stacked @ window.ravel()))
 
-    rhs = 0.0
-    # partial paths are enumerated most recent state first
-    partials = [([], 1.0)]
-    for _ in range(1, p + 1):
-        contrib = 0.0
-        next_partials = []
-        for recent, weight in partials:
-            pz = step_probs(recent, hist_z)
-            py = step_probs(recent, hist_y)
-            contrib += weight * sum(
-                kl_bernoulli(float(a), float(b)) for a, b in zip(pz, py)
-            )
-            for block in range(1 << n_dims):
-                bits = np.array([(block >> i) & 1 for i in range(n_dims)], float)
-                prob = float(np.prod(np.where(bits > 0, pz, 1.0 - pz)))
-                next_partials.append(([bits] + recent, weight * prob))
-        rhs += contrib
-        partials = next_partials
-    return KlDecomposition(lhs=lhs, rhs=rhs, agree=abs(lhs - rhs) <= 1e-10)
+    def chain_rule(hist_z, hist_y):
+        rhs = 0.0
+        # partial paths are enumerated most recent state first
+        partials = [([], 1.0)]
+        for _ in range(1, p + 1):
+            contrib = 0.0
+            next_partials = []
+            for recent, weight in partials:
+                pz = step_probs(recent, hist_z)
+                py = step_probs(recent, hist_y)
+                contrib += weight * sum(
+                    kl_bernoulli(float(a), float(b)) for a, b in zip(pz, py)
+                )
+                for block in range(1 << n_dims):
+                    bits = np.array([(block >> i) & 1 for i in range(n_dims)], float)
+                    prob = float(np.prod(np.where(bits > 0, pz, 1.0 - pz)))
+                    next_partials.append(([bits] + recent, weight * prob))
+            rhs += contrib
+            partials = next_partials
+        return rhs
+
+    lhs, rhs = np.empty((n_states, n_states)), np.empty((n_states, n_states))
+    for z, y in np.ndindex(n_states, n_states):
+        row_z, row_y = p_step[z], p_step[y]
+        lhs[z, y] = float((row_z * np.log(row_z / row_y)).sum())
+        rhs[z, y] = chain_rule(hists[z], hists[y])
+    return KlDecomposition(lhs=lhs, rhs=rhs, agree=np.abs(lhs - rhs) <= 1e-10)

@@ -23,7 +23,6 @@ from .tensor import ParamTensor, stack_tensor
 
 __all__ = [
     "SamplePath",
-    "DesignMatrix",
     "simulate",
     "simulate_batch",
     "design_matrix",
@@ -81,26 +80,6 @@ class SamplePath:
 
     def samples(self) -> np.ndarray:
         return self.data[self.n_lags :]
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Lagged binary regressors; row t is [(x^{t-1})' (x^{t-2})' ... (x^{t-p})']."""
-
-    data: np.ndarray
-    n_dims: int
-    n_lags: int
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.shape[1] != self.n_dims * self.n_lags:
-            raise ValueError("design width must equal n_dims * n_lags")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 def simulate(
@@ -170,14 +149,18 @@ def simulate_batch(
     return paths
 
 
-def design_matrix(path: SamplePath) -> DesignMatrix:
-    """Assemble the (n, N p) lag matrix satisfying X[t, (l-1)N + j] = x^{t-l}_j."""
+def design_matrix(path: SamplePath) -> np.ndarray:
+    """Read-only float64 (n, N p) lag matrix with X[t, (l-1)N + j] = x^{t-l}_j.
+
+    Row t holds the lagged regressors [(x^{t-1})' (x^{t-2})' ... (x^{t-p})'].
+    """
     p, n, n_dims = path.n_lags, path.n, path.n_dims
     data = path.data
     cols = np.empty((n, n_dims * p), dtype=np.float64)
     for lag in range(1, p + 1):
         cols[:, (lag - 1) * n_dims : lag * n_dims] = data[p - lag : p - lag + n]
-    return DesignMatrix(data=cols, n_dims=n_dims, n_lags=p)
+    cols.setflags(write=False)
+    return cols
 
 
 def random_sparse_theta(

@@ -3,9 +3,8 @@
 The estimation theory assumes the process's spectral density matrix has its
 minimum eigenvalue bounded away from zero over all frequencies. This module
 estimates that bound with a Bartlett-averaged periodogram (disjoint
-segments, no taper), exposes the lag-window autocovariance eigenvalue it
-controls, and tabulates how the mixing norm and concentration constant scale
-with the number of lags for standard magnitude-decay families.
+segments, no taper) and tabulates how the mixing norm and concentration
+constant scale with the number of lags for standard magnitude-decay families.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .tensor import (
 __all__ = [
     "SpectralReport",
     "psd_estimate",
-    "autocorr_min_eig",
     "ConstantDecay",
     "PolynomialDecay",
     "ExponentialDecay",
@@ -94,29 +92,6 @@ def psd_estimate(
     return SpectralReport(
         freq_grid=freqs, min_eigs=min_eigs, spectral_floor=float(min_eigs.min())
     )
-
-
-def autocorr_min_eig(path: SamplePath) -> float:
-    """Minimum eigenvalue of the centered lag-window autocovariance matrix.
-
-    Assembles the block-Toeplitz matrix of biased sample autocovariances up
-    to lag depth p and returns its smallest eigenvalue (floored at zero).
-    On long runs this sits above the spectral eigenvalue floor.
-    """
-    p, n_dims = path.n_lags, path.n_dims
-    x = path.data.astype(np.float64)
-    x = x - x.mean(axis=0)
-    total = x.shape[0]
-    covs = []
-    for h in range(p):
-        covs.append(x[: total - h].T @ x[h:] / total)  # C(h) = Cov(x_t, x_{t+h})
-    blocks = np.zeros((p * n_dims, p * n_dims))
-    for u in range(p):
-        for v in range(p):
-            h = u - v
-            block = covs[h] if h >= 0 else covs[-h].T
-            blocks[u * n_dims : (u + 1) * n_dims, v * n_dims : (v + 1) * n_dims] = block
-    return float(max(np.linalg.eigvalsh(blocks).min(), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class ParamTensor:
     def zeros(cls, n_rows: int, n_cols: int, n_lags: int) -> "ParamTensor":
         return cls(np.zeros((n_rows, n_cols, n_lags)))
 
-    @classmethod
-    def from_array(cls, arr) -> "ParamTensor":
-        return cls(np.asarray(arr, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class SparsityReport:
@@ -174,16 +170,11 @@ def concentration_constant(t: ParamTensor, link: LinkSpec) -> float:
     so sweeps can record divergence.
     """
     m = mixing_norm(t, link)
-    return concentration_constant_from_mixing(m, link.curvature, t.n_lags)
-
-
-def concentration_constant_from_mixing(m: float, curvature: float, p: int) -> float:
-    """Same constant from a precomputed mixing-norm value."""
     if m >= 1.0:
         return math.inf
     if m == 0.0:
-        return 8.0 * curvature**2
-    return 8.0 * curvature**2 * (1.0 + p**2 / (1.0 / m - 1.0) ** 2)
+        return 8.0 * link.curvature**2
+    return 8.0 * link.curvature**2 * (1.0 + t.n_lags**2 / (1.0 / m - 1.0) ** 2)
 
 
 def stack_tensor(t: ParamTensor) -> np.ndarray:

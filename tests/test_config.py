@@ -100,11 +100,10 @@ class TestExperimentConfig:
             "check": "decay-table", "samples": 9, "p_values": (1, 2), "t": 0.5,
         }
 
-    def test_boolean_parsing(self):
-        cfg = ExperimentConfig.from_mapping(
-            parse_config_text(MINIMAL + "fit.accelerate = false\n")
-        )
-        assert cfg.fit_accelerate is False
+    def test_accelerate_key_rejected(self):
+        # the solver always uses momentum; configs that still set it fail loudly
+        with pytest.raises(ConfigError, match="fit.accelerate"):
+            ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "fit.accelerate = true\n"))
 
     def test_load_config_file(self, tmp_path):
         fname = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 """Penalty policies, soft thresholding, the proximal solver and error metrics."""
 
+import hashlib
 import importlib
 import math
 
@@ -15,10 +16,9 @@ from mbp.estimator import (
     kkt_residual,
     lambda_policy,
     soft_threshold,
-    support_threshold,
     support_top_s,
 )
-from mbp.likelihood import grad_nll
+from mbp.likelihood import nll_grad
 from mbp.link import sigmoid_link
 from mbp.simulate import random_sparse_theta, simulate
 from mbp.tensor import ParamTensor, tensor_norm
@@ -79,7 +79,7 @@ class TestFit:
     def test_zero_is_stationary_when_penalty_dominates(self):
         theta = random_sparse_theta(3, 1, 4, seed=0)
         path = simulate(theta, LINK, 400, seed=0)
-        g0 = tensor_norm(grad_nll(ParamTensor.zeros(3, 3, 1), path, LINK), "inf")
+        g0 = tensor_norm(nll_grad(ParamTensor.zeros(3, 3, 1), path, LINK)[1], "inf")
         res = fit(path, LINK, FitConfig(lam=g0 * 1.05))
         assert not res.theta_hat.values.any()
         assert res.converged
@@ -103,9 +103,8 @@ class TestFit:
     def test_objective_trace_monotone(self):
         theta = random_sparse_theta(4, 2, 8, seed=2)
         path = simulate(theta, LINK, 300, seed=2)
-        for accelerate in (True, False):
-            res = fit(path, LINK, FitConfig(lam=0.01, accelerate=accelerate))
-            assert np.all(np.diff(res.objective_trace) <= 0.0)
+        res = fit(path, LINK, FitConfig(lam=0.01))
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
 
     def test_kkt_residual_at_convergence(self):
         theta = random_sparse_theta(3, 2, 6, seed=3)
@@ -171,7 +170,28 @@ class TestFit:
         with pytest.raises(ValueError):
             FitConfig(lam=0.0, tol=0.0)
         with pytest.raises(ValueError):
-            FitConfig(lam=0.0, backtrack_factor=1.0)
+            FitConfig(lam=0.0, max_iters=0)
+
+    @pytest.mark.parametrize(
+        "lam, iterations, theta_digest, trace_digest",
+        [
+            (0.01, 33,
+             "70cf01b50b59de36670f769558e2388e91eb9ecd53f65ddf4199e3c19b7f33b5",
+             "59ad1409a8ea11e541445fd62545c27aa4b8d9501bbb3889a71f3144631ea206"),
+            (0.0, 34,
+             "e0f9f784fd3105259f826858419323fdd056d0d5f3975b16c92b01ac243ffe57",
+             "74215f54a56f93271a92d091ba435c74e90d9bd887dff6c2ffa6f2c94af29d1d"),
+        ],
+        ids=["lam_0.01", "lam_0"],
+    )
+    def test_fixed_seed_fit(self, lam, iterations, theta_digest, trace_digest):
+        # digests of the accelerated solver's iterates at step size 1 and
+        # halving backtracks: any changed step changes them
+        path = simulate(random_sparse_theta(4, 2, 8, seed=2), LINK, 300, seed=2)
+        res = fit(path, LINK, FitConfig(lam=lam))
+        assert (res.iterations, res.converged) == (iterations, True)
+        assert hashlib.sha256(res.theta_hat.values.tobytes()).hexdigest() == theta_digest
+        assert hashlib.sha256(res.objective_trace.tobytes()).hexdigest() == trace_digest
 
 
 class TestSupportSelection:
@@ -186,14 +206,6 @@ class TestSupportSelection:
     def test_top_s_of_zero_tensor_is_lexicographic_prefix(self):
         t = ParamTensor.zeros(2, 2, 2)
         assert support_top_s(t, 3) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
-
-    def test_threshold_zero_returns_everything(self):
-        t = ParamTensor(np.array([3.0, 0.0, 1.0]).reshape(1, 1, 3))
-        assert support_threshold(t, 0.0) == {(0, 0, 0), (0, 0, 1), (0, 0, 2)}
-
-    def test_threshold_selects_by_magnitude(self):
-        t = ParamTensor(np.array([3.0, -2.0, 1.0]).reshape(1, 1, 3))
-        assert support_threshold(t, 1.5) == {(0, 0, 0), (0, 0, 1)}
 
 
 class TestErrorMetrics:

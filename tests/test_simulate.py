@@ -219,12 +219,13 @@ class TestDesignMatrix:
         # rows x^{-1}, x^0, x^1, x^2 = 1, 0, 1, 1; row for t=1 is [x^0 x^{-1}]
         path = path_from_rows([[1], [0], [1], [1]], n_lags=2)
         X = design_matrix(path)
-        assert X.data.shape == (2, 2)
-        assert np.array_equal(X.data, [[0.0, 1.0], [1.0, 0.0]])
+        assert X.shape == (2, 2) and X.dtype == np.float64
+        assert not X.flags.writeable
+        assert np.array_equal(X, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_all_zero_path(self):
         path = path_from_rows(np.zeros((6, 3)), n_lags=2)
-        assert not design_matrix(path).data.any()
+        assert not design_matrix(path).any()
 
     def test_identity_lag_extraction(self):
         theta = random_sparse_theta(3, 2, 6, seed=8)
@@ -234,21 +235,21 @@ class TestDesignMatrix:
             for lag in range(1, 3):
                 for j in range(3):
                     assert (
-                        X.data[t - 1, (lag - 1) * 3 + j]
+                        X[t - 1, (lag - 1) * 3 + j]
                         == path.data[path.n_lags + t - lag - 1, j]
                     )
 
     def test_column_norms(self):
         theta = random_sparse_theta(4, 3, 10, seed=9)
         path = simulate(theta, LINK, 200, seed=9)
-        X = design_matrix(path).data
+        X = design_matrix(path)
         norms = np.linalg.norm(X, axis=0)
         assert np.all(norms <= math.sqrt(path.n) + 1e-12)
 
     def test_row_shift_property(self):
         theta = random_sparse_theta(3, 2, 4, seed=10)
         path = simulate(theta, LINK, 30, seed=10)
-        X = design_matrix(path).data
+        X = design_matrix(path)
         samples = path.samples()
         for t in range(path.n - 1):
             assert np.array_equal(X[t + 1, :3], samples[t].astype(float))

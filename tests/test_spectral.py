@@ -1,4 +1,4 @@
-"""Spectral floor estimation, lag-window autocovariance, decay scaling."""
+"""Spectral floor estimation and decay scaling."""
 
 import math
 
@@ -13,7 +13,6 @@ from mbp.spectral import (
     ConstantDecay,
     ExponentialDecay,
     PolynomialDecay,
-    autocorr_min_eig,
     decay_scaling_report,
     psd_estimate,
 )
@@ -53,31 +52,6 @@ class TestPsdEstimate:
         path = simulate(ParamTensor.zeros(1, 1, 1), LINK, 30, seed=4)
         with pytest.raises(ValueError):
             psd_estimate(path, 10)
-
-
-class TestAutocorrMinEig:
-    def test_fair_coin_value(self):
-        path = simulate(ParamTensor.zeros(1, 1, 1), LINK, 100_000, seed=5)
-        assert autocorr_min_eig(path) == pytest.approx(0.25, abs=0.01)
-
-    def test_depth_one_is_plain_covariance(self):
-        theta = scaled_to_mixing(np.random.default_rng(6), 2, 1, LINK, 0.5)
-        path = simulate(theta, LINK, 30_000, seed=6)
-        x = path.data.astype(float)
-        x = x - x.mean(axis=0)
-        cov = x.T @ x / x.shape[0]
-        assert autocorr_min_eig(path) == pytest.approx(
-            float(np.linalg.eigvalsh(cov).min()), rel=1e-9
-        )
-
-    def test_dominates_spectral_floor_on_stable_models(self):
-        rng = np.random.default_rng(7)
-        for trial in range(5):
-            n_dims, p = [(1, 1), (2, 1), (1, 2)][trial % 3]
-            theta = scaled_to_mixing(rng, n_dims, p, LINK, rng.uniform(0.2, 0.8))
-            path = simulate(theta, LINK, 50_000, seed=10 + trial)
-            floor = psd_estimate(path, 25, freq_points=32).spectral_floor
-            assert autocorr_min_eig(path) >= floor - 0.03
 
 
 class TestDecayScaling:
