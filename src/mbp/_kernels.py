@@ -1,10 +1,11 @@
 """Hot numeric kernels in plain numpy.
 
 Three inner loops dominate runtime: advancing the binary chain one step at a
-time, the fused Bernoulli log-likelihood / residual pass inside the solver,
-and the lagged quadratic form evaluated per replicate in the concentration
-trials. All kernels consume pre-drawn uniform variates and deterministic
-inputs, so each is reproducible given its seed.
+time, the fused Bernoulli log-likelihood / residual pass inside the solver
+(and its line-search twin, the change of a softplus), and the lagged
+quadratic form evaluated per replicate in the concentration trials. All
+kernels consume pre-drawn uniform variates and deterministic inputs, so each
+is reproducible given its seed.
 
 The chain kernel carries a replicate axis: R independent chains with the same
 tensor advance together, one (R, N p) @ (N p, N) product per time step, so a
@@ -22,7 +23,7 @@ import numpy as np
 from .link import sigmoid
 from .markov import _state_bit_matrix
 
-__all__ = ["chain_steps", "bernoulli_loss_terms", "lagged_square_sum"]
+__all__ = ["chain_steps", "bernoulli_loss_terms", "softplus_change", "lagged_square_sum"]
 
 # widest lag window (N p bits) of a single chain that runs from a table of its
 # 2^(N p) window states; the 1024-row table takes about 8 ms to fill, the time
@@ -105,25 +106,32 @@ def _table_chain(h, w_t, alpha, thresholds):
     return np.frombuffer(states, dtype=np.uint8).reshape(thresholds.shape)
 
 
-def bernoulli_loss_terms(pred, targets, alpha, eps, want_residual=True):
-    """Summed Bernoulli NLL (and optionally the residual matrix) at predictors.
+def bernoulli_loss_terms(pred, targets, alpha, want_residual=True):
+    """Summed logistic NLL (and optionally the residual matrix) at predictors.
 
-    Given predictors U (n, N) and binary targets Y, the probability is the
-    clamped sigmoid z; the residual's (t, i) entry is
-    ((1-y)/(1-z) - y/z) * f'(u), using the smooth sigmoid derivative so it
-    matches the analytic gradient formula. Returns ``(loss, resid or None)``.
+    Given predictors U (n, N) and binary targets Y, with margins
+    m = (2y - 1) alpha u the loss is sum softplus(-m) and the residual's
+    (t, i) entry alpha (sigmoid(alpha u) - y), its derivative. Nothing is
+    clipped. Returns ``(loss, resid or None)``.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    a = float(alpha) * np.asarray(pred, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    alpha = float(alpha)
-    s = sigmoid(alpha * pred)
-    z = np.clip(s, eps, 1.0 - eps)
-    loss = -(targets * np.log(z) + (1.0 - targets) * np.log(1.0 - z)).sum()
+    # softplus(-m) = log1p(exp(-|a|)) + max(a, 0) - y a for binary y
+    e = np.exp(-np.abs(a))
+    loss = np.log1p(e).sum() + np.maximum(a, 0.0).sum() - (targets * a).sum()
     if not want_residual:
         return float(loss), None
-    fprime = alpha * s * (1.0 - s)
-    resid = ((1.0 - targets) / (1.0 - z) - targets / z) * fprime
-    return float(loss), resid
+    return float(loss), float(alpha) * (np.where(a >= 0, 1.0, e) / (1.0 + e) - targets)
+
+
+def softplus_change(b, delta):
+    """softplus(b + delta) - softplus(b), elementwise, without cancellation:
+    log1p(sigmoid(b) expm1(delta)) for delta <= 0, and
+    delta + log1p(sigmoid(-b) expm1(-delta)) for delta > 0."""
+    up = delta > 0
+    return np.where(up, delta, 0.0) + np.log1p(
+        sigmoid(np.where(up, -b, b)) * np.expm1(-np.abs(delta))
+    )
 
 
 def lagged_square_sum(data, delta):

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimator import _MIN_STEP, FitConfig, fit, lambda_policy
+from .estimator import FitConfig, fit, lambda_policy
 from .experiments import run_experiment
 from .link import sigmoid_link
 from .simulate import random_sparse_theta, read_path, simulate, write_path
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="derive the weight from a policy: simulation or theorem, "
         "optionally with the constant, e.g. 'simulation,0.25'",
     )
-    fit_p.add_argument("--tol", type=float, default=1e-8)
+    fit_p.add_argument("--tol", type=float, default=1e-8, help="KKT tolerance over lambda")
     fit_p.add_argument("--max-iters", type=int, default=5000)
     fit_p.add_argument("--out", required=True, help="output tensor file")
     _add_link_flags(fit_p)
@@ -108,12 +108,10 @@ def _cmd_fit(args) -> int:
         lam = lambda_policy(path.n, path.n_dims, path.n_lags, link=link, c2=c2, mode=mode)
     result = fit(path, link, FitConfig(lam=lam, max_iters=args.max_iters, tol=args.tol))
     write_tensor(result.theta_hat, args.out)
-    status = "converged" if result.converged else "max-iters reached"
-    if result.final_step < _MIN_STEP:
-        status = "step size underflowed"
     print(
         f"wrote {args.out}: lambda={lam:.6g} iterations={result.iterations} "
-        f"objective={result.objective_trace[-1]:.8f} ({status})"
+        f"objective={result.objective_trace[-1]:.8f} "
+        f"kkt/lambda={result.kkt_over_lambda:.3g} (stopped: {result.stop_reason})"
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

@@ -1,13 +1,15 @@
 """Negative log-likelihood, gradient, quadratic form and empirical trials.
 
-The normalized loss averages, over the n regression samples, the Bernoulli
-log-loss of every coordinate given its lagged predictor. Alongside the exact
-gradient this module provides the curvature quadratic form that lower-bounds
-the Taylor remainder, its exact stationary mean, plus three Monte-Carlo
-trials that check the gradient sup-norm tail bound, the restricted curvature
-over cone directions, and the concentration of the quadratic form around its
-long-run mean. The two tail trials simulate all their replicates in one
-batched chain.
+The normalized loss averages, over the n regression samples, the unclamped
+logistic log-loss softplus(-m), m = (2y - 1) alpha u, of every coordinate
+given its lagged predictor. It is smooth and convex, and equals the clamped
+likelihood's loss wherever no |u| exceeds ``link.saturation``; the clamp
+stays in the simulator and in ``markov``. Alongside the exact gradient this
+module provides the curvature quadratic form that lower-bounds the Taylor
+remainder, its exact stationary mean, plus three Monte-Carlo trials that
+check the gradient sup-norm tail bound, the restricted curvature over cone
+directions, and the concentration of the quadratic form around its long-run
+mean. The two tail trials simulate all their replicates in one batched chain.
 """
 
 from __future__ import annotations
@@ -66,10 +68,7 @@ def _check_shapes(theta: ParamTensor, path: SamplePath) -> None:
 
 def nll(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:
     """Normalized negative log-likelihood of the path under ``theta``."""
-    _check_shapes(theta, path)
-    X = design_matrix(path)
-    Y = path.samples().astype(np.float64)
-    return _nll_on_design(stack_tensor(theta), X, Y, link)
+    return nll_grad(theta, path, link)[0]
 
 
 def nll_grad(
@@ -77,29 +76,25 @@ def nll_grad(
 ) -> tuple[float, ParamTensor]:
     """(:func:`nll`, its exact gradient) in one pass.
 
-    Every gradient entry is bounded by lipschitz / eps.
+    The gradient's (i, j) entry averages alpha (sigmoid(alpha u_i) - y_i)
+    times the binary regressor j, so its magnitude is at most alpha.
     """
     _check_shapes(theta, path)
     X = design_matrix(path)
     Y = path.samples().astype(np.float64)
-    value, grad_mat = _nll_grad_on_design(stack_tensor(theta), X, Y, link)
+    value, grad_mat, _ = _nll_grad_on_design(stack_tensor(theta), X, Y, link)
     return value, unstack_tensor(grad_mat, theta.n_lags)
 
 
 def _nll_grad_on_design(stacked, X, Y, link):
-    # shared hot path: one predictor matmul, fused elementwise pass, one
-    # residual matmul; returns (value, gradient in stacked (N, Np) layout)
+    # shared hot path of nll_grad, kkt_residual and the solver: one predictor
+    # matmul, fused elementwise pass, one residual matmul; returns (value,
+    # gradient in stacked (N, Np) layout, predictors (n, N))
     n = X.shape[0]
     pred = X @ stacked.T
-    loss, resid = _kernels.bernoulli_loss_terms(pred, Y, link.alpha, link.eps, True)
+    loss, resid = _kernels.bernoulli_loss_terms(pred, Y, link.alpha, True)
     grad = (resid.T @ X) / n
-    return loss / n, grad
-
-
-def _nll_on_design(stacked, X, Y, link):
-    pred = X @ stacked.T
-    loss, _ = _kernels.bernoulli_loss_terms(pred, Y, link.alpha, link.eps, False)
-    return loss / X.shape[0]
+    return loss / n, grad, pred
 
 
 def quad_form(delta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:
@@ -147,9 +142,9 @@ def taylor_remainder(
     X = design_matrix(path)
     Y = path.samples().astype(np.float64)
     base, shift = stack_tensor(theta_star), stack_tensor(delta)
-    value, grad = _nll_grad_on_design(base, X, Y, link)
+    value, grad, _ = _nll_grad_on_design(base, X, Y, link)
     inner = float((grad * shift).sum())
-    return _nll_on_design(base + shift, X, Y, link) - value - inner
+    return _nll_grad_on_design(base + shift, X, Y, link)[0] - value - inner
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,6 @@ class LinkSpec:
         z = sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
         return np.clip(z, self.eps, 1.0 - self.eps)
 
-    def eval_deriv(self, u):
-        """Derivative of the smooth (unclamped) sigmoid at u.
-
-        The clamp applies only to probabilities fed into Bernoulli draws and
-        likelihood terms, never to this derivative.
-        """
-        z = sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
-        return self.alpha * z * (1.0 - z)
-
 
 def sigmoid(v):
     """Logistic function 1 / (1 + exp(-v)), elementwise.

@@ -53,14 +53,17 @@ def verdict(index, label, ok, elapsed, budget):
 def test_01_gradient_matches_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for trial in range(20):
+    worst, clamped = 0.0, 0
+    for trial in range(30):
         n_dims = int(rng.integers(1, 5))
         p = int(rng.integers(1, 4))
         n = int(rng.integers(30, 101))
         truth = clamp_free_tensor(rng, n_dims, p, LINK)
         path = simulate(truth, LINK, n, seed=trial)
-        theta = clamp_free_tensor(rng, n_dims, p, LINK, fill=0.7)
+        # the last 10 trials put predictors up to 3x past the clamp point
+        theta = clamp_free_tensor(rng, n_dims, p, LINK, fill=0.7 if trial < 20 else 3.0)
+        pred = design_matrix(path) @ stack_tensor(theta).T
+        clamped += int(np.any(np.abs(LINK.alpha * pred) > LINK.saturation))
         grad = nll_grad(theta, path, LINK)[1].values
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -74,8 +77,9 @@ def test_01_gradient_matches_finite_differences():
         scale = max(np.abs(fd).max(), 1e-8)
         worst = max(worst, float(np.abs(grad - fd).max() / scale))
     verdict(
-        1, f"gradient vs central differences, worst rel err {worst:.2e} < 1e-6",
-        worst < 1e-6, time.perf_counter() - start, 10.0,
+        1, f"gradient vs central differences, worst rel err {worst:.2e} < 1e-6, "
+        f"{clamped} of 30 instances with clamped predictors",
+        worst < 1e-6 and clamped >= 10, time.perf_counter() - start, 10.0,
     )
 
 

@@ -60,20 +60,17 @@ def test_fit_max_iters_exit_code(tmp_path):
 
 
 def test_fit_step_underflow_reported(tmp_path, monkeypatch, capsys):
-    # every candidate but the zero start scores 1.0 above its loss, so
-    # backtracking from zero shrinks the step below the solver's floor
+    # every trial step scores 1.0 above its true loss change, so no step
+    # descends and the line search halves the step until it gives up
     module = importlib.import_module("mbp.estimator")
-    loss = module._nll_on_design
-    monkeypatch.setattr(
-        module, "_nll_on_design",
-        lambda d, X, Y, link: loss(d, X, Y, link) + (1.0 if d.any() else 0.0),
-    )
+    change = module.softplus_change
+    monkeypatch.setattr(module, "softplus_change", lambda b, delta: change(b, delta) + 1.0)
     data = tmp_path / "path.txt"
     main(["simulate", "--random", "3,2,6", "--n", "200", "--seed", "5", "--out", str(data)])
     capsys.readouterr()
     code = main(["fit", "--data", str(data), "--lambda", "1e-4", "--out", str(tmp_path / "f.txt")])
     assert code == EXIT_NOT_CONVERGED
-    assert "(step size underflowed)" in capsys.readouterr().out
+    assert "(stopped: line_search)" in capsys.readouterr().out
 
 
 def test_fit_lambda_policy_flag(tmp_path):

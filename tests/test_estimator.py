@@ -1,4 +1,4 @@
-"""Penalty policies, soft thresholding, the proximal solver and error metrics."""
+"""Penalty policies, soft thresholding, the proximal Newton solver and error metrics."""
 
 import hashlib
 import importlib
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import path_from_rows
+
 from mbp.estimator import (
     FitConfig,
     error_metrics,
@@ -18,12 +20,34 @@ from mbp.estimator import (
     soft_threshold,
     support_top_s,
 )
-from mbp.likelihood import nll_grad
+from mbp.likelihood import nll, nll_grad
 from mbp.link import sigmoid_link
-from mbp.simulate import random_sparse_theta, simulate
-from mbp.tensor import ParamTensor, tensor_norm
+from mbp.simulate import design_matrix, random_sparse_theta, simulate
+from mbp.tensor import ParamTensor, stack_tensor, tensor_norm, unstack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
+
+
+def objective(theta, path, lam):
+    return nll(theta, path, LINK) + lam * float(np.abs(theta.values).sum())
+
+
+def ista_oracle(path, lam, iterations=20_000):
+    """Plain proximal gradient from zero at the fixed step 1/L; its last iterate.
+
+    L = alpha^2 ||X||_2^2 / (4 n) bounds the curvature of the normalized
+    logistic loss, so every step descends and the iterates converge.
+    """
+    X = design_matrix(path)
+    Y = path.samples().astype(np.float64)
+    n, alpha = X.shape[0], LINK.alpha
+    step = 4.0 * n / (alpha**2 * np.linalg.norm(X, 2) ** 2)
+    w = np.zeros((path.n_dims, X.shape[1]))
+    for _ in range(iterations):
+        resid = alpha * (1.0 / (1.0 + np.exp(-alpha * (X @ w.T))) - Y)
+        v = w - step * (resid.T @ X) / n
+        w = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
+    return unstack_tensor(w, path.n_lags)
 
 
 class TestLambdaPolicy:
@@ -137,24 +161,37 @@ class TestFit:
         path = simulate(theta, LINK, 200, seed=5)
         res = fit(path, LINK, FitConfig(lam=1e-4, tol=1e-14, max_iters=3))
         assert not res.converged
+        assert res.stop_reason == "max_iters"
         assert res.iterations == 3
+        assert res.gradients == 4
 
     def test_step_underflow_is_not_convergence(self, monkeypatch):
-        # every candidate but the zero start scores 1.0 above its loss, so
-        # backtracking from zero shrinks the step below _MIN_STEP
+        # every trial step scores 1.0 above its true loss change, so no step
+        # descends: each row's line search halves until it gives up
         module = importlib.import_module("mbp.estimator")
-        loss = module._nll_on_design
-
-        def inflated(d, X, Y, link):
-            return loss(d, X, Y, link) + (1.0 if d.any() else 0.0)
-
-        monkeypatch.setattr(module, "_nll_on_design", inflated)
+        change = module.softplus_change
+        monkeypatch.setattr(module, "softplus_change", lambda b, delta: change(b, delta) + 1.0)
         path = simulate(random_sparse_theta(3, 2, 6, seed=5), LINK, 200, seed=5)
         res = fit(path, LINK, FitConfig(lam=1e-4))
         assert res.converged is False
+        assert res.stop_reason == "line_search"
         assert res.iterations == 1
-        assert res.final_step < module._MIN_STEP
+        assert res.halvings == 3 * module._MAX_HALVINGS
         assert not res.theta_hat.values.any()
+        assert np.all(res.objective_trace == res.objective_trace[0])
+
+    def test_duplicate_columns_singular_gram(self):
+        # two identical series give identical design columns; a warm start
+        # with both entries of a row nonzero makes the Gram on that sign
+        # pattern exactly singular
+        bits = np.random.default_rng(11).integers(0, 2, size=(400, 1))
+        path = path_from_rows(np.hstack([bits, bits]), n_lags=1)
+        warm = ParamTensor(np.full((2, 2, 1), 0.5))
+        lam = 0.01
+        res = fit(path, LINK, FitConfig(lam=lam), theta_init=warm)
+        assert res.converged
+        oracle = objective(ista_oracle(path, lam), path, lam)
+        assert objective(res.theta_hat, path, lam) <= oracle + 1e-10
 
     def test_theta_init_used_and_validated(self):
         theta = random_sparse_theta(2, 1, 2, seed=6)
@@ -175,23 +212,53 @@ class TestFit:
     @pytest.mark.parametrize(
         "lam, iterations, theta_digest, trace_digest",
         [
-            (0.01, 33,
-             "70cf01b50b59de36670f769558e2388e91eb9ecd53f65ddf4199e3c19b7f33b5",
-             "59ad1409a8ea11e541445fd62545c27aa4b8d9501bbb3889a71f3144631ea206"),
-            (0.0, 34,
-             "e0f9f784fd3105259f826858419323fdd056d0d5f3975b16c92b01ac243ffe57",
-             "74215f54a56f93271a92d091ba435c74e90d9bd887dff6c2ffa6f2c94af29d1d"),
+            (0.01, 4,
+             "8175bec52b0d4958f228bb043490a528bfa380e8863ecb2c47352ea06bc3a565",
+             "79c1b769b4c154059d6e27aad3083a071e8b88f19c0b54ed0f6d1ac5fca082c4"),
+            (0.0, 4,
+             "c4f79305554d1947714737ec043017437f233b942fd4d1f118444ad89ee9b7ae",
+             "1dda05376a9f7f36c1730e99381d02e1ce2fd33173150dafd1b60054f9b0b9ef"),
         ],
         ids=["lam_0.01", "lam_0"],
     )
     def test_fixed_seed_fit(self, lam, iterations, theta_digest, trace_digest):
-        # digests of the accelerated solver's iterates at step size 1 and
-        # halving backtracks: any changed step changes them
+        # digests of the proximal Newton iterates: any changed working set,
+        # inner solve or line-search step changes them
         path = simulate(random_sparse_theta(4, 2, 8, seed=2), LINK, 300, seed=2)
         res = fit(path, LINK, FitConfig(lam=lam))
-        assert (res.iterations, res.converged) == (iterations, True)
+        assert (res.iterations, res.stop_reason) == (iterations, "kkt")
         assert hashlib.sha256(res.theta_hat.values.tobytes()).hexdigest() == theta_digest
         assert hashlib.sha256(res.objective_trace.tobytes()).hexdigest() == trace_digest
+        # the trace accumulates decreases; its end is the true objective
+        assert res.objective_trace[-1] == pytest.approx(
+            objective(res.theta_hat, path, lam), rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "n_dims, p, s, n, lam, low, high",
+        [
+            (3, 2, 6, 300, 0.01, 0.3, 1.0),
+            (2, 1, 2, 200, 0.05, 0.3, 1.0),
+            (4, 2, 8, 400, 0.003, 0.3, 1.0),
+            (3, 1, 6, 300, 0.005, 3.0, 5.0),
+        ],
+        ids=["small", "penalty_heavy", "penalty_light", "clamped"],
+    )
+    def test_no_worse_than_ista_oracle(self, n_dims, p, s, n, lam, low, high):
+        truth = random_sparse_theta(n_dims, p, s, low, high, seed=n_dims + s)
+        path = simulate(truth, LINK, n, seed=n)
+        res = fit(path, LINK, FitConfig(lam=lam))
+        assert res.converged
+        oracle = objective(ista_oracle(path, lam), path, lam)
+        assert objective(res.theta_hat, path, lam) <= oracle + 1e-10
+        assert res.kkt_over_lambda == pytest.approx(
+            kkt_residual(res.theta_hat, path, LINK, lam) / lam, rel=1e-12, abs=0.0
+        )
+        assert res.nnz == np.count_nonzero(res.theta_hat.values)
+        if high > LINK.saturation:
+            # the fitted predictors reach the region the simulator clamps
+            pred = design_matrix(path) @ stack_tensor(res.theta_hat).T
+            assert np.abs(LINK.alpha * pred).max() > LINK.saturation
 
 
 class TestSupportSelection:

@@ -27,7 +27,10 @@ LINK = sigmoid_link(1.0, 0.05)
 
 
 def reference_nll(theta, path, link):
-    """Independent double-loop implementation on raw path rows."""
+    """Independent double-loop implementation on raw path rows.
+
+    The loss is the unclamped logistic one: no probability is clipped.
+    """
     v = theta.values
     n, n_dims, p = path.n, path.n_dims, path.n_lags
     total = 0.0
@@ -38,7 +41,6 @@ def reference_nll(theta, path, link):
                 for lag in range(1, p + 1):
                     u += v[i, j, lag - 1] * path.data[p + t - lag - 1, j]
             z = 1.0 / (1.0 + math.exp(-link.alpha * u))
-            z = min(max(z, link.eps), 1.0 - link.eps)
             x = path.data[p + t - 1, i]
             total -= x * math.log(z) + (1 - x) * math.log(1.0 - z)
     return total / n

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from mbp.link import LinkSpec, sigmoid_link
+from mbp._kernels import bernoulli_loss_terms
+from mbp.link import LinkSpec, sigmoid, sigmoid_link
+
+
+def eval_deriv(link, u):
+    """Oracle: derivative of the smooth (unclamped) sigmoid at u."""
+    z = sigmoid(link.alpha * np.asarray(u, dtype=np.float64))
+    return link.alpha * z * (1.0 - z)
 
 
 class TestConstruction:
@@ -68,7 +75,7 @@ class TestEval:
         assert link.eval(u) == expected
         assert link.eval(np.array([u]))[0] == expected
 
-    @pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+    @pytest.mark.parametrize("method", ["eval"])
     @pytest.mark.parametrize("u", [0.0, -2.5, 7, np.float64(1e4)])
     def test_scalar_in_scalar_out(self, method, u):
         out = getattr(sigmoid_link(1.0, 0.05), method)(u)
@@ -82,25 +89,36 @@ class TestEval:
 
 class TestEvalDeriv:
     def test_peak_value(self):
-        assert sigmoid_link(1.0, 0.05).eval_deriv(0.0) == pytest.approx(0.25)
+        link = sigmoid_link(1.0, 0.05)
+        assert eval_deriv(link, 0.0) == pytest.approx(0.25)
+        assert eval_deriv(link, 0.0) == pytest.approx(link.lipschitz)
 
     def test_bounded_by_lipschitz(self):
         link = sigmoid_link(1.7, 0.05)
         rng = np.random.default_rng(1)
         u = rng.uniform(-30, 30, size=10_000)
-        assert np.all(np.abs(link.eval_deriv(u)) <= link.lipschitz + 1e-12)
+        assert np.all(np.abs(eval_deriv(link, u)) <= link.lipschitz + 1e-12)
 
     def test_scalar_evaluation(self):
         link = sigmoid_link(2.0, 0.05)
         f1 = 1.0 / (1.0 + math.exp(-2.0 * 0.5))
-        assert link.eval_deriv(0.5) == pytest.approx(2.0 * f1 * (1.0 - f1), rel=1e-12)
+        assert eval_deriv(link, 0.5) == pytest.approx(2.0 * f1 * (1.0 - f1), rel=1e-12)
+        h = 1e-6
+        fd = (sigmoid(link.alpha * (0.5 + h)) - sigmoid(link.alpha * (0.5 - h))) / (2 * h)
+        assert eval_deriv(link, 0.5) == pytest.approx(fd, rel=1e-8)
 
     def test_not_zeroed_in_clamp_region(self):
-        # the smooth derivative is returned even where the output is clipped
+        # the loss residual is the chain rule with the smooth derivative, also
+        # where the clamp would clip the probability: the loss is unclamped
         link = sigmoid_link(1.0, 0.2)
-        u = 10.0
-        assert link.eval(u) == pytest.approx(0.8)
-        assert link.eval_deriv(u) > 0.0
+        u = np.array([[10.0, -10.0, 0.3]])
+        y = np.array([[0.0, 1.0, 1.0]])
+        assert link.eval(10.0) == pytest.approx(0.8)
+        z = sigmoid(link.alpha * u)
+        chain = ((1.0 - y) / (1.0 - z) - y / z) * eval_deriv(link, u)
+        _, resid = bernoulli_loss_terms(u, y, link.alpha)
+        np.testing.assert_allclose(resid, chain, rtol=1e-12)
+        assert np.all(np.abs(resid[0, :2]) > 0.99)
 
 
 class TestCurvature:
