@@ -7,6 +7,12 @@ Kullback-Leibler decomposition of block laws all computable by enumeration.
 These exact quantities back the inequality checks that the estimation theory
 relies on.
 
+Everything here reads one table, the draw probabilities of each of the
+2^(N p) lag windows (``_window_probs``). The kernel scatters its block
+probabilities into rows; the mixing coefficients and the KL chain rule
+enumerate paths from all start windows at once, as arrays indexed by
+(start, path), so no Python loop runs over start states or state pairs.
+
 State encoding (fixed): a block over {0,1}^N with p lags is the integer whose
 bit (u * N + i) holds coordinate i of the state u lags back, u = 0 being the
 most recent. The bit vector of a state therefore matches the column order of
@@ -40,7 +46,6 @@ __all__ = [
     "kl_bernoulli_bound",
     "KlDecomposition",
     "kl_chain_decomposition",
-    "state_to_history",
 ]
 
 MAX_KERNEL_BITS = 14
@@ -82,10 +87,25 @@ def _state_bit_matrix(n_bits: int) -> np.ndarray:
     return ((states[:, None] >> np.arange(n_bits)[None, :]) & 1).astype(np.float64)
 
 
-def state_to_history(state: int, n_dims: int, n_lags: int) -> np.ndarray:
-    """Decode a state integer into a (p, N) array, most recent lag in row 0."""
-    bits = [(state >> (u * n_dims + i)) & 1 for u in range(n_lags) for i in range(n_dims)]
-    return np.array(bits, dtype=np.uint8).reshape(n_lags, n_dims)
+def _window_probs(theta: ParamTensor, link: LinkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Draw probabilities after each of the 2^(N p) lag windows.
+
+    Returns ``P``, shape (S, N), with P[s, i] the probability that coordinate
+    i of the next state is 1 after window s, and ``Q``, shape (S, 2^N), with
+    Q[s, b] the probability that the next state is block b, multiplied out
+    over i in index order. Q[s, b] is the kernel entry from s to
+    ``((s & keep) << N) | b``.
+    """
+    n_dims = theta.n_rows
+    n_bits = n_dims * theta.n_lags
+    probs_one = np.asarray(link.eval(_state_bit_matrix(n_bits) @ stack_tensor(theta).T))
+    block_probs = np.empty((1 << n_bits, 1 << n_dims))
+    for block in range(1 << n_dims):
+        prob = np.ones(1 << n_bits)
+        for i in range(n_dims):
+            prob = prob * (probs_one[:, i] if (block >> i) & 1 else 1.0 - probs_one[:, i])
+        block_probs[:, block] = prob
+    return probs_one, block_probs
 
 
 def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
@@ -104,19 +124,13 @@ def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
             f"state space needs {n_bits} bits, cap is {MAX_KERNEL_BITS}"
         )
     n_states = 1 << n_bits
-    bits = _state_bit_matrix(n_bits)
-    probs_one = np.asarray(link.eval(bits @ stack_tensor(theta).T))  # (states, N)
+    _, block_probs = _window_probs(theta, link)
+    # row s is nonzero only in the 2^N columns of the window that keeps s's
+    # newest p - 1 blocks, shifted one lag back
     kernel = np.zeros((n_states, n_states))
-    keep_mask = (1 << (n_dims * (p - 1))) - 1
-    shifted = (np.arange(n_states) & keep_mask) << n_dims
-    for block in range(1 << n_dims):
-        prob = np.ones(n_states)
-        for i in range(n_dims):
-            if (block >> i) & 1:
-                prob = prob * probs_one[:, i]
-            else:
-                prob = prob * (1.0 - probs_one[:, i])
-        kernel[np.arange(n_states), shifted | block] = prob
+    rows = np.arange(n_states)
+    keep_mask = (n_states >> n_dims) - 1
+    kernel.reshape(n_states, n_states >> n_dims, -1)[rows, rows & keep_mask] = block_probs
     return KernelMatrix(probs=kernel, n_dims=n_dims, n_lags=p)
 
 
@@ -210,42 +224,6 @@ def contraction_check(theta: ParamTensor, link: LinkSpec) -> ContractionCheck:
 # ---------------------------------------------------------------------------
 
 
-def _path_law(theta: ParamTensor, link: LinkSpec, n: int, start_state: int) -> np.ndarray:
-    """Joint law of n chain steps started from a fixed p-block history.
-
-    Paths are encoded as integers with step t occupying bits
-    [(t-1) * N, t * N). Returned vector has length 2^(N n) and sums to 1.
-    """
-    n_dims, p = theta.n_rows, theta.n_lags
-    stacked = stack_tensor(theta)
-    start_hist = state_to_history(start_state, n_dims, p)  # (p, N) recent first
-    probs = np.ones(1)
-    for t in range(1, n + 1):
-        n_prefix = probs.size
-        prefix = np.arange(n_prefix, dtype=np.int64)
-        pred = np.zeros((n_prefix, n_dims))
-        for lag in range(1, p + 1):
-            src = t - lag
-            for j in range(n_dims):
-                if src >= 1:
-                    bit = ((prefix >> ((src - 1) * n_dims + j)) & 1).astype(np.float64)
-                else:
-                    bit = float(start_hist[-src, j])  # lag reaching into the start block
-                for i in range(n_dims):
-                    w = stacked[i, (lag - 1) * n_dims + j]
-                    if w != 0.0:
-                        pred[:, i] += w * bit
-        z = np.asarray(link.eval(pred))
-        new = np.empty(n_prefix << n_dims)
-        for block in range(1 << n_dims):
-            cond = np.ones(n_prefix)
-            for i in range(n_dims):
-                cond = cond * (z[:, i] if (block >> i) & 1 else 1.0 - z[:, i])
-            new[block * n_prefix : (block + 1) * n_prefix] = probs * cond
-        probs = new
-    return probs
-
-
 def _check_enum_budget(n_dims: int, n_lags: int, n: int) -> None:
     bits = n_dims * (n + n_lags)
     if bits > MAX_ENUM_BITS:
@@ -262,37 +240,41 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     prefix, the switched pair, and the fixed pre-history block the chain was
     started from. Entry [k-1, l-1] of the returned (n, n) array; zero below
     the diagonal, and eta[k, k] = 1 by the point-mass convention.
+
+    The path laws of all 2^(N p) starts are built together, one step at a
+    time from the block probabilities of ``_window_probs``: row z of the
+    (S, 2^(N n)) law holds the paths started from window z, step t in bits
+    [(t-1) N, t N), and each path carries the window its next step reads.
+    The maxima over prefixes, pairs and starts are taken over whole arrays.
+    Each sum runs over the same axis, in the same order, as one start's
+    alone, so the result does not depend on how many starts share it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     n_dims, p = theta.n_rows, theta.n_lags
     _check_enum_budget(n_dims, p, n)
-    block = 1 << n_dims
-    eta = np.zeros((n, n))
+    _, block_probs = _window_probs(theta, link)
+    n_states, block = block_probs.shape
+    keep_mask = (n_states >> n_dims) - 1
+    law = np.ones((n_states, 1))
+    window = np.arange(n_states)[:, None]
+    for _ in range(n):
+        # the new step takes the high bits of the path index
+        law = (law[:, None, :] * block_probs[window].transpose(0, 2, 1)).reshape(n_states, -1)
+        window = ((window & keep_mask) << n_dims)[:, None, :] | np.arange(block)[:, None]
+        window = window.reshape(n_states, -1)
+    eta = np.eye(n)
     for k in range(1, n + 1):
-        eta[k - 1, k - 1] = 1.0
-    for start_state in range(1 << (n_dims * p)):
-        law = _path_law(theta, link, n, start_state)
-        for k in range(1, n + 1):
-            n_suffix = 1 << (n_dims * (n - k))
-            n_prefix = 1 << (n_dims * (k - 1))
-            cube = law.reshape(n_suffix, block, n_prefix)
-            totals = cube.sum(axis=0)  # (w, y) prefix masses
-            cond = cube / totals[None, :, :]
-            for l in range(k + 1, n + 1):
-                n_block = 1 << (n_dims * (n - l + 1))
-                n_mid = n_suffix // n_block
-                marg = cond.reshape(n_block, n_mid, block, n_prefix).sum(axis=1)
-                worst = 0.0
-                for w1 in range(block - 1):
-                    d = (
-                        0.5
-                        * np.abs(marg[:, w1 + 1 :, :] - marg[:, w1 : w1 + 1, :])
-                        .sum(axis=0)
-                        .max()
-                    )
-                    worst = max(worst, float(d))
-                eta[k - 1, l - 1] = max(eta[k - 1, l - 1], worst)
+        n_suffix = 1 << (n_dims * (n - k))
+        n_prefix = 1 << (n_dims * (k - 1))
+        cube = law.reshape(n_states, n_suffix, block, n_prefix)
+        cond = cube / cube.sum(axis=1, keepdims=True)  # given (start, w, prefix)
+        for l in range(k + 1, n + 1):
+            n_block = 1 << (n_dims * (n - l + 1))
+            marg = cond.reshape(n_states, n_block, -1, block, n_prefix).sum(axis=2)
+            for w1 in range(block - 1):
+                d = np.abs(marg[:, :, w1 + 1 :] - marg[:, :, w1 : w1 + 1]).sum(axis=1).max()
+                eta[k - 1, l - 1] = max(eta[k - 1, l - 1], float(0.5 * d))
     return eta
 
 
@@ -371,51 +353,50 @@ def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecompositio
     """KL between p-block laws started from every pair of histories, both ways.
 
     ``lhs[z, y]`` is the exact divergence between the two next-block laws
-    (rows z and y of the p-step kernel, built once); ``rhs[z, y]``
-    accumulates, step by step, the expected one-step divergences along
-    hybrid histories whose sampled part follows the law started from z.
-    The two agree to 1e-10 for every p-Markov chain.
+    (rows z and y of the p-step kernel, built once), summed over one row
+    exactly as for a single pair. ``rhs[z, y]`` accumulates, step by step,
+    the expected one-step divergences along hybrid histories whose sampled
+    part follows the law started from z. The two agree to 1e-10 for every
+    p-Markov chain.
+
+    ``rhs`` is enumerated for all starts at once from one (S, S) table of
+    one-step divergences between windows (entropy minus cross-entropy,
+    two matrix products). At step k the window of start z after partial
+    path r is r | (z & keep) << N (k-1), so z and y read the same r bits;
+    grouping starts by their kept bits makes each step one batched matrix
+    product of the path weights with that table, O(S^2) in all. ``rhs``
+    sums in another order than a pair-by-pair recursion and may differ from
+    it in the last bits (1e-15 on small chains).
     """
     n_dims, p = theta.n_rows, theta.n_lags
     if n_dims * p > MAX_KL_BITS:
         raise ResourceLimitError(
             f"block enumeration needs {n_dims * p} bits, cap is {MAX_KL_BITS}"
         )
-    kernel = build_kernel(theta, link)
-    p_step = np.linalg.matrix_power(kernel.probs, p)
-    n_states = kernel.n_states
-    stacked = stack_tensor(theta)
-    hists = [state_to_history(s, n_dims, p).astype(np.float64) for s in range(n_states)]
+    p_step = np.linalg.matrix_power(build_kernel(theta, link).probs, p)
+    probs_one, block_probs = _window_probs(theta, link)
+    n_states = block_probs.shape[0]
 
-    def step_probs(recent, start):
-        # recent: list of sampled states, most recent first; start fills the rest
-        window = np.concatenate([np.array(recent[:p]).reshape(-1, n_dims), start])[:p]
-        return np.asarray(link.eval(stacked @ window.ravel()))
+    lhs = np.empty((n_states, n_states))
+    # start rows per pass, so that a pass's (rows, S, S) temporaries stay near 8 MB
+    per_pass = max(1, (1 << 20) // (n_states * n_states))
+    for z in range(0, n_states, per_pass):
+        rows = p_step[z : z + per_pass, None, :]
+        lhs[z : z + per_pass] = (rows * np.log(rows / p_step)).sum(axis=2)
 
-    def chain_rule(hist_z, hist_y):
-        rhs = 0.0
-        # partial paths are enumerated most recent state first
-        partials = [([], 1.0)]
-        for _ in range(1, p + 1):
-            contrib = 0.0
-            next_partials = []
-            for recent, weight in partials:
-                pz = step_probs(recent, hist_z)
-                py = step_probs(recent, hist_y)
-                contrib += weight * sum(
-                    kl_bernoulli(float(a), float(b)) for a, b in zip(pz, py)
-                )
-                for block in range(1 << n_dims):
-                    bits = np.array([(block >> i) & 1 for i in range(n_dims)], float)
-                    prob = float(np.prod(np.where(bits > 0, pz, 1.0 - pz)))
-                    next_partials.append(([bits] + recent, weight * prob))
-            rhs += contrib
-            partials = next_partials
-        return rhs
-
-    lhs, rhs = np.empty((n_states, n_states)), np.empty((n_states, n_states))
-    for z, y in np.ndindex(n_states, n_states):
-        row_z, row_y = p_step[z], p_step[y]
-        lhs[z, y] = float((row_z * np.log(row_z / row_y)).sum())
-        rhs[z, y] = chain_rule(hists[z], hists[y])
+    log_one, log_zero = np.log(probs_one), np.log(1.0 - probs_one)
+    entropy = (probs_one * log_one + (1.0 - probs_one) * log_zero).sum(axis=1)
+    kl = entropy[:, None] - (probs_one @ log_one.T + (1.0 - probs_one) @ log_zero.T)
+    np.fill_diagonal(kl, 0.0)  # exact where the difference leaves rounding
+    rhs = np.zeros((n_states, n_states))
+    weight = np.ones((n_states, 1))  # [z, r]: probability of partial path r from z
+    for k in range(1, p + 1):
+        n_paths = 1 << (n_dims * (k - 1))
+        n_kept = n_states // n_paths
+        # start z = hi * n_kept + u reads window u * n_paths + r after path r
+        shared = np.einsum("urvr->urv", kl.reshape(n_kept, n_paths, n_kept, n_paths))
+        per_start = weight.reshape(n_paths, n_kept, n_paths).transpose(1, 0, 2) @ shared
+        rhs += np.tile(per_start.transpose(1, 0, 2).reshape(n_states, n_kept), n_paths)
+        windows = (np.arange(n_states) % n_kept)[:, None] * n_paths + np.arange(n_paths)
+        weight = (weight[:, :, None] * block_probs[windows]).reshape(n_states, -1)
     return KlDecomposition(lhs=lhs, rhs=rhs, agree=np.abs(lhs - rhs) <= 1e-10)

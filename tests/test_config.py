@@ -1,5 +1,7 @@
 """Config file parsing and validation."""
 
+import pathlib
+
 import pytest
 
 from mbp.config import (
@@ -8,6 +10,8 @@ from mbp.config import (
     load_config,
     parse_config_text,
 )
+
+SHIPPED = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 MINIMAL = """
 experiment = error_vs_n
@@ -110,3 +114,13 @@ class TestExperimentConfig:
         fname.write_text(MINIMAL)
         cfg = load_config(fname)
         assert cfg.n_dims == 4 and cfg.n_values == (100, 200)
+
+
+def test_configs_found():
+    assert len(SHIPPED) >= 6
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    # a renamed or removed key fails here, not in a user's run
+    assert load_config(path).experiment in path.stem

@@ -22,10 +22,9 @@ from mbp.markov import (
     mixing_coefficients,
     mixing_row_sum_exact,
     mixing_sum_bound,
-    state_to_history,
     stationary_law,
 )
-from mbp.tensor import ParamTensor
+from mbp.tensor import ParamTensor, stack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
 
@@ -65,6 +64,118 @@ class TestBuildKernel:
     def test_state_decoding(self):
         hist = state_to_history(0b0110, n_dims=2, n_lags=2)
         assert np.array_equal(hist, [[0, 1], [1, 0]])
+
+
+def state_to_history(state, n_dims, n_lags):
+    """Decode a state integer into a (p, N) array, most recent lag in row 0."""
+    bits = [(state >> (u * n_dims + i)) & 1 for u in range(n_lags) for i in range(n_dims)]
+    return np.array(bits, dtype=np.uint8).reshape(n_lags, n_dims)
+
+
+def path_law_oracle(theta, link, n, start_state):
+    """Joint law of n steps from one start window, built predictor by predictor.
+
+    Paths are integers with step t in bits [(t-1) N, t N).
+    """
+    n_dims, p = theta.n_rows, theta.n_lags
+    stacked = stack_tensor(theta)
+    start_hist = state_to_history(start_state, n_dims, p)
+    probs = np.ones(1)
+    for t in range(1, n + 1):
+        n_prefix = probs.size
+        prefix = np.arange(n_prefix, dtype=np.int64)
+        pred = np.zeros((n_prefix, n_dims))
+        for lag in range(1, p + 1):
+            src = t - lag
+            for j in range(n_dims):
+                if src >= 1:
+                    bit = ((prefix >> ((src - 1) * n_dims + j)) & 1).astype(np.float64)
+                else:
+                    bit = float(start_hist[-src, j])  # lag reaching into the start block
+                for i in range(n_dims):
+                    w = stacked[i, (lag - 1) * n_dims + j]
+                    if w != 0.0:
+                        pred[:, i] += w * bit
+        z = np.asarray(link.eval(pred))
+        new = np.empty(n_prefix << n_dims)
+        for block in range(1 << n_dims):
+            cond = np.ones(n_prefix)
+            for i in range(n_dims):
+                cond = cond * (z[:, i] if (block >> i) & 1 else 1.0 - z[:, i])
+            new[block * n_prefix : (block + 1) * n_prefix] = probs * cond
+        probs = new
+    return probs
+
+
+def mixing_coefficients_oracle(theta, link, n):
+    """eta from one start window at a time, each from its own path law."""
+    n_dims, p = theta.n_rows, theta.n_lags
+    block = 1 << n_dims
+    eta = np.eye(n)
+    for start_state in range(1 << (n_dims * p)):
+        law = path_law_oracle(theta, link, n, start_state)
+        for k in range(1, n + 1):
+            n_suffix = 1 << (n_dims * (n - k))
+            cube = law.reshape(n_suffix, block, -1)
+            cond = cube / cube.sum(axis=0)[None, :, :]
+            for l in range(k + 1, n + 1):
+                n_block = 1 << (n_dims * (n - l + 1))
+                marg = cond.reshape(n_block, n_suffix // n_block, block, -1).sum(axis=1)
+                for w1 in range(block - 1):
+                    d = 0.5 * np.abs(marg[:, w1 + 1 :, :] - marg[:, w1 : w1 + 1, :]).sum(axis=0)
+                    eta[k - 1, l - 1] = max(eta[k - 1, l - 1], float(d.max()))
+    return eta
+
+
+def kl_decomposition_oracle(theta, link):
+    """(lhs, rhs) pair by pair; rhs by the chain-rule recursion over partial paths."""
+    n_dims, p = theta.n_rows, theta.n_lags
+    p_step = np.linalg.matrix_power(build_kernel(theta, link).probs, p)
+    n_states = p_step.shape[0]
+    stacked = stack_tensor(theta)
+    hists = [state_to_history(s, n_dims, p).astype(np.float64) for s in range(n_states)]
+
+    def step_probs(recent, start):
+        # recent: sampled states, most recent first; start fills the rest
+        window = np.concatenate([np.array(recent[:p]).reshape(-1, n_dims), start])[:p]
+        return np.asarray(link.eval(stacked @ window.ravel()))
+
+    def chain_rule(hist_z, hist_y):
+        rhs = 0.0
+        partials = [([], 1.0)]
+        for _ in range(p):
+            contrib, next_partials = 0.0, []
+            for recent, weight in partials:
+                pz, py = step_probs(recent, hist_z), step_probs(recent, hist_y)
+                contrib += weight * sum(kl_bernoulli(float(a), float(b)) for a, b in zip(pz, py))
+                for block in range(1 << n_dims):
+                    bits = np.array([(block >> i) & 1 for i in range(n_dims)], float)
+                    prob = float(np.prod(np.where(bits > 0, pz, 1.0 - pz)))
+                    next_partials.append(([bits] + recent, weight * prob))
+            rhs += contrib
+            partials = next_partials
+        return rhs
+
+    lhs, rhs = np.empty((n_states, n_states)), np.empty((n_states, n_states))
+    for z, y in np.ndindex(n_states, n_states):
+        row_z, row_y = p_step[z], p_step[y]
+        lhs[z, y] = float((row_z * np.log(row_z / row_y)).sum())
+        rhs[z, y] = chain_rule(hists[z], hists[y])
+    return lhs, rhs
+
+
+# (N, p, n for eta): 12 draws over seven shapes, mixing norms uniform in (0.05, 0.95)
+ORACLE_DRAWS = [
+    (1, 1, 6), (1, 1, 3), (1, 2, 6), (1, 2, 5), (1, 3, 6), (1, 3, 4),
+    (2, 1, 6), (2, 1, 4), (2, 2, 5), (2, 2, 3), (3, 1, 4), (1, 4, 6),
+]
+
+
+def oracle_thetas():
+    rng = np.random.default_rng(11)
+    for n_dims, n_lags, n in ORACLE_DRAWS:
+        theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, rng.uniform(0.05, 0.95))
+        yield pytest.param(theta, n, id=f"N{n_dims}-p{n_lags}-n{n}")
 
 
 class TestStationaryLaw:
@@ -248,6 +359,11 @@ class TestMixingCoefficients:
         with pytest.raises(ValueError):
             mixing_coefficients(ParamTensor.zeros(1, 1, 1), LINK, 0)
 
+    @pytest.mark.parametrize("theta, n", oracle_thetas())
+    def test_equals_one_start_at_a_time(self, theta, n):
+        assert np.array_equal(mixing_coefficients(theta, LINK, n),
+                              mixing_coefficients_oracle(theta, LINK, n))
+
 
 class TestRowSumBound:
     def test_formula_values(self):
@@ -320,3 +436,20 @@ class TestKlDecomposition:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             kl_chain_decomposition(ParamTensor.zeros(4, 4, 3), LINK)
+
+    @pytest.mark.parametrize("theta, n", oracle_thetas())
+    def test_matches_pair_by_pair_recursion(self, theta, n):
+        # lhs sums each pair's row as the oracle does; rhs sums in another order
+        res = kl_chain_decomposition(theta, LINK)
+        lhs, rhs = kl_decomposition_oracle(theta, LINK)
+        assert np.array_equal(res.lhs, lhs)
+        np.testing.assert_allclose(res.rhs, rhs, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_dims, n_lags", [(4, 2), (2, 4)])
+    def test_all_pairs_agree_at_eight_bits(self, n_dims, n_lags):
+        rng = np.random.default_rng(n_dims * 10 + n_lags)
+        theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, 0.7)
+        res = kl_chain_decomposition(theta, LINK)
+        assert res.agree.shape == (256, 256)
+        assert res.agree.all()
+        assert (np.diag(res.rhs) == 0.0).all()
