@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import DEFAULT_SIMULATION_C2, ConfigError, ExperimentConfig, load_config, resolve_c2
 from .estimator import FitConfig, fit, lambda_policy
 from .experiments import run_experiment
-from .link import sigmoid_link
-from .simulate import random_sparse_theta, read_path, simulate, write_path
+from .link import LinkSpec, sigmoid_link
+from .simulate import DEFAULT_BURN_IN, random_sparse_theta, read_path, simulate, write_path
 from .tensor import read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -18,8 +18,8 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _add_link_flags(parser):
-    parser.add_argument("--alpha", type=float, default=1.0, help="sigmoid gain")
-    parser.add_argument("--eps", type=float, default=0.05, help="probability clamp level")
+    parser.add_argument("--alpha", type=float, default=LinkSpec.alpha, help="sigmoid gain")
+    parser.add_argument("--eps", type=float, default=LinkSpec.eps, help="probability clamp level")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a random s-sparse N x N x p truth instead",
     )
     sim.add_argument("--n", type=int, required=True, help="number of recorded samples")
-    sim.add_argument("--burn-in", type=int, default=1000)
+    sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output path file")
     sim.add_argument("--theta-out", help="also write the generating tensor here")
@@ -53,23 +53,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-policy",
         metavar="MODE[,C2]",
         help="derive the weight from a policy: simulation or theorem, "
-        "optionally with the constant, e.g. 'simulation,0.25'",
+        "optionally with the constant, e.g. 'simulation,0.5'; simulation without "
+        f"one uses {DEFAULT_SIMULATION_C2}, as configs do",
     )
-    fit_p.add_argument("--tol", type=float, default=1e-8, help="KKT tolerance over lambda")
-    fit_p.add_argument("--max-iters", type=int, default=5000)
+    fit_p.add_argument("--tol", type=float, default=FitConfig.tol, help="KKT tolerance over lambda")
+    fit_p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
     fit_p.add_argument("--out", required=True, help="output tensor file")
     _add_link_flags(fit_p)
 
-    diag = sub.add_parser("diagnose", help="run one named diagnostic check")
-    diag.add_argument("--config", help="config file (experiment = diagnose)")
-    diag.add_argument("--check", help="check name when no config file is given")
+    diag = sub.add_parser(
+        "diagnose",
+        help="run one named diagnostic check; a diagnose config runs with 'mbp experiment'",
+    )
+    diag.add_argument("--check", help="check name (required)")
     diag.add_argument("--theta", help="tensor file the check should use")
-    diag.add_argument("--out", help="output directory", default="out")
+    diag.add_argument("--out", help="output directory", default=ExperimentConfig.output_dir)
     diag.add_argument("--n-dims", type=int, default=2)
     diag.add_argument("--n-lags", type=int, default=1)
     diag.add_argument("--samples", type=int)
     diag.add_argument("--n", type=int)
-    diag.add_argument("--seed", type=int, default=0)
+    diag.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     _add_link_flags(diag)
 
     exp = sub.add_parser("experiment", help="run a config-driven sweep")
@@ -104,7 +107,7 @@ def _cmd_fit(args) -> int:
     else:
         parts = args.lambda_policy.split(",")
         mode = parts[0]
-        c2 = float(parts[1]) if len(parts) > 1 else None
+        c2 = resolve_c2(mode, float(parts[1]) if len(parts) > 1 else None)
         lam = lambda_policy(path.n, path.n_dims, path.n_lags, link=link, c2=c2, mode=mode)
     result = fit(path, link, FitConfig(lam=lam, max_iters=args.max_iters, tol=args.tol))
     write_tensor(result.theta_hat, args.out)
@@ -116,42 +119,27 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
+def _run(config: ExperimentConfig) -> int:
+    for f in run_experiment(config):
+        print(f"wrote {f}")
+    return EXIT_OK
+
+
 def _cmd_diagnose(args) -> int:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        if not args.check:
-            print("either --config or --check is required", file=sys.stderr)
-            return EXIT_ERROR
-        mapping = {
-            "experiment": "diagnose",
-            "N": str(args.n_dims),
-            "p": str(args.n_lags),
-            "link.alpha": str(args.alpha),
-            "link.eps": str(args.eps),
-            "output_dir": args.out,
-            "master_seed": str(args.seed),
-            "diagnose.check": args.check,
-        }
-        if args.theta:
-            mapping["diagnose.theta"] = args.theta
-        if args.samples is not None:
-            mapping["diagnose.samples"] = str(args.samples)
-        if args.n is not None:
-            mapping["diagnose.n"] = str(args.n)
-        config = ExperimentConfig.from_mapping(mapping)
-    files = run_experiment(config)
-    for f in files:
-        print(f"wrote {f}")
-    return EXIT_OK
-
-
-def _cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    files = run_experiment(config)
-    for f in files:
-        print(f"wrote {f}")
-    return EXIT_OK
+    if not args.check:
+        print("--check is required; run a diagnose config with 'mbp experiment --config'",
+              file=sys.stderr)
+        return EXIT_ERROR
+    given = {"theta": args.theta, "samples": args.samples, "n": args.n}
+    return _run(ExperimentConfig(
+        experiment="diagnose",
+        n_dims=args.n_dims,
+        n_lags=args.n_lags,
+        link=sigmoid_link(args.alpha, args.eps),
+        master_seed=args.seed,
+        output_dir=args.out,
+        diagnose={"check": args.check, **{k: v for k, v in given.items() if v is not None}},
+    ))
 
 
 def main(argv=None) -> int:
@@ -164,7 +152,7 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return _cmd_diagnose(args)
         if args.command == "experiment":
-            return _cmd_experiment(args)
+            return _run(load_config(args.config))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,7 +23,7 @@ from ._kernels import softplus_change
 from .likelihood import _nll_grad_on_design, nll_grad
 from .link import LinkSpec, sigmoid
 from .simulate import SamplePath, design_matrix
-from .tensor import ParamTensor, stack_tensor, unstack_tensor
+from .tensor import ParamTensor, sparse_approx, stack_tensor, unstack_tensor
 
 __all__ = [
     "FitConfig",
@@ -309,13 +309,7 @@ def kkt_residual(
 
 def support_top_s(t: ParamTensor, s: int) -> frozenset:
     """Index triples of the s largest-magnitude entries (lexicographic ties)."""
-    if not 0 <= s <= t.n_entries:
-        raise ValueError(f"s={s} outside [0, {t.n_entries}]")
-    flat = np.abs(t.values).ravel()
-    order = np.argsort(-flat, kind="stable")[:s]
-    return frozenset(
-        tuple(int(c) for c in np.unravel_index(k, t.values.shape)) for k in order
-    )
+    return sparse_approx(t, s).support
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, field_error
 from .estimator import FitConfig, error_metrics, fit, lambda_policy
 from .likelihood import concentration_trial, grad_bound_trial, rsc_probe
 from .markov import (
@@ -331,10 +331,7 @@ _DECAY_FAMILIES = {
 
 def _decay_table(config):
     spec = config.diagnose
-    family_name = spec.get("family", "polynomial")
-    if family_name not in _DECAY_FAMILIES:
-        raise ConfigError(f"key 'diagnose.family': unknown family {family_name!r}")
-    family = _DECAY_FAMILIES[family_name](spec.get("c", 0.1), spec)
+    family = _DECAY_FAMILIES[spec.get("family", "polynomial")](spec.get("c", 0.1), spec)
     p_values = spec.get("p_values", (1, 2, 4, 8, 16, 32, 64, 128))
     rows = [
         [r.p, r.inner_norm, r.mixing_norm, r.concentration, r.diverged]
@@ -409,6 +406,7 @@ _CHECKS = {
 def _diagnose(config: ExperimentConfig):
     """Run the configured checks (comma separated) and index their files.
 
+    Check names and the decay family are validated before any check runs.
     The index names files relative to the output directory; an empty check
     list writes only its header row.
     """
@@ -419,6 +417,12 @@ def _diagnose(config: ExperimentConfig):
                 f"key 'diagnose.check': unknown check {name!r}; "
                 f"known checks: {', '.join(sorted(_CHECKS))}"
             )
+    family = config.diagnose.get("family")
+    if family is not None and family not in _DECAY_FAMILIES:
+        raise ConfigError(
+            f"key 'diagnose.family': unknown family {family!r}; "
+            f"known families: {', '.join(_DECAY_FAMILIES)}"
+        )
     os.makedirs(config.output_dir, exist_ok=True)
     files, index = [], []
     for name in names:
@@ -434,9 +438,7 @@ def run_experiment(config: ExperimentConfig):
         return _diagnose(config)
     single, summarize = _SWEEPS[config.experiment]
     if single and len(getattr(config, f"{single}_values")) != 1:
-        raise ConfigError(
-            f"key 'sweep.{single}_values': {config.experiment} needs exactly one {single}"
-        )
+        raise field_error(f"{single}_values", f"{config.experiment} needs exactly one {single}")
     records = _sweep(config)
     os.makedirs(config.output_dir, exist_ok=True)
     runs = _write(config, f"{config.experiment}_runs.csv", RECORD_COLUMNS, [r.row() for r in records])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels, markov
 from .link import LinkSpec
-from .simulate import SamplePath, design_matrix, simulate, simulate_batch
+from .simulate import DEFAULT_BURN_IN, SamplePath, design_matrix, simulate, simulate_batch
 from .tensor import (
     ParamTensor,
     concentration_constant,
@@ -187,7 +187,7 @@ def grad_bound_trial(
     c1: float,
     replicates: int,
     seed: int,
-    burn_in: int = 1000,
+    burn_in: int = DEFAULT_BURN_IN,
 ) -> TrialReport:
     """Fraction of simulated paths whose gradient sup-norm beats the tail bound.
 
@@ -268,7 +268,7 @@ def concentration_trial(
     t: float,
     replicates: int,
     seed: int,
-    burn_in: int = 1000,
+    burn_in: int = DEFAULT_BURN_IN,
     n_ref_terms: int = 10**6,
 ) -> TrialReport:
     """Tail rate of |quad_form - its long-run mean| over fresh simulations.

@@ -22,8 +22,6 @@ class LinkSpec:
 
     Parameters
     ----------
-    kind : str
-        Link family; only ``"sigmoid"`` is supported.
     alpha : float
         Gain of the sigmoid, must be positive.
     eps : float
@@ -31,13 +29,10 @@ class LinkSpec:
         [eps, 1 - eps].
     """
 
-    kind: str = "sigmoid"
     alpha: float = 1.0
     eps: float = 0.05
 
     def __post_init__(self):
-        if self.kind != "sigmoid":
-            raise ValueError(f"unsupported link kind: {self.kind!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 < self.eps < 0.5):
@@ -79,6 +74,6 @@ def sigmoid(v):
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid_link(alpha: float = 1.0, eps: float = 0.05) -> LinkSpec:
+def sigmoid_link(alpha: float = LinkSpec.alpha, eps: float = LinkSpec.eps) -> LinkSpec:
     """Build a sigmoid link with the given gain and clamp level."""
-    return LinkSpec(kind="sigmoid", alpha=alpha, eps=eps)
+    return LinkSpec(alpha=alpha, eps=eps)

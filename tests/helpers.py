@@ -6,6 +6,19 @@ from mbp.link import LinkSpec
 from mbp.simulate import SamplePath
 from mbp.tensor import ParamTensor
 
+# check -> (N, p, diagnose.* keys) small enough for every check to run in well
+# under a second; s = 0 keeps the concentration trial's mixing norm at 0
+TINY_CHECKS = {
+    "gf-bound": (1, 2, {"samples": 2}),
+    "eta-bound": (1, 2, {"samples": 1, "n": 3}),
+    "kl-decomp": (1, 2, {"samples": 1}),
+    "psd": (1, 1, {"n": 2000, "segments": 4, "freq_points": 4, "s": 0}),
+    "decay-table": (1, 2, {"p_values": "1,2"}),
+    "grad-bound": (2, 1, {"n": 50, "replicates": 2, "s": 1}),
+    "concentration": (100, 1, {"n": 50, "replicates": 2, "s": 0, "t": 0.5}),
+    "rsc": (2, 1, {"n": 100, "directions": 2, "s": 1}),
+}
+
 
 def clamp_free_tensor(rng, n_dims, n_lags, link: LinkSpec, fill=0.8) -> ParamTensor:
     """Random tensor whose predictors stay strictly inside the clamp-free band.

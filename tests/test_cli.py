@@ -3,7 +3,10 @@
 import importlib
 
 import numpy as np
+import pytest
 from mbp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from mbp.config import ExperimentConfig
+from mbp.experiments import _effective_lambda
 from mbp.simulate import read_path
 from mbp.tensor import read_tensor
 
@@ -83,6 +86,22 @@ def test_fit_lambda_policy_flag(tmp_path):
     assert code == EXIT_OK
 
 
+def test_fit_lambda_policy_default_c2_matches_config(tmp_path, capsys):
+    # the policy constant a config leaves unset is the one the CLI uses
+    data = tmp_path / "path.txt"
+    main(["simulate", "--random", "3,2,4", "--n", "400", "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "f.txt"
+    code = main(["fit", "--data", str(data), "--lambda-policy", "simulation", "--out", str(out)])
+    assert code == EXIT_OK
+    config = ExperimentConfig.from_mapping(
+        {"experiment": "error_vs_n", "N": "3", "p": "2", "sweep.s_values": "4",
+         "sweep.n_values": "400"}
+    )
+    assert f"lambda={_effective_lambda(config, 400):.6g} " in capsys.readouterr().out
+    assert np.count_nonzero(read_tensor(out).values) > 0
+
+
 def test_diagnose_direct_flags(tmp_path):
     out_dir = tmp_path / "diag"
     code = main(
@@ -104,6 +123,18 @@ def test_experiment_config_file(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "out" / "error_vs_n_runs.csv").exists()
     assert (tmp_path / "out" / "error_vs_n_summary.csv").exists()
+
+
+def test_diagnose_config_runs_as_experiment(tmp_path):
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text(
+        "experiment = diagnose\nN = 1\np = 2\ndiagnose.check = gf-bound\n"
+        f"diagnose.samples = 3\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+    assert len((tmp_path / "out" / "diagnose_gf_bound.csv").read_text().splitlines()) == 4
+    with pytest.raises(SystemExit):  # diagnose itself takes no config file
+        main(["diagnose", "--config", str(cfg)])
 
 
 def test_bad_config_reports_error(tmp_path):

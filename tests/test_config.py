@@ -109,6 +109,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="fit.accelerate"):
             ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "fit.accelerate = true\n"))
 
+    def test_link_kind_key_rejected(self):
+        # sigmoid is the only link, so the key that chose it is gone
+        with pytest.raises(ConfigError, match="unknown key 'link.kind'"):
+            ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "link.kind = sigmoid\n"))
+
     def test_load_config_file(self, tmp_path):
         fname = tmp_path / "exp.cfg"
         fname.write_text(MINIMAL)

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from helpers import TINY_CHECKS
+
 from mbp.config import ConfigError, ExperimentConfig
 from mbp.estimator import lambda_policy
 from mbp.experiments import RECORD_COLUMNS, run_experiment
@@ -290,28 +292,22 @@ class TestDiagnoseDispatch:
             run_experiment(self.diag_config(tmp_path, "d_bad", "gf-bound", samples="ten"))
         assert not os.path.exists(tmp_path / "d_bad")
 
+    def test_bad_family_fails_before_any_check_runs(self, tmp_path):
+        cfg = self.diag_config(tmp_path, "d_family", "gf-bound,decay-table", samples=2,
+                               family="bogus")
+        with pytest.raises(ConfigError, match="diagnose.family"):
+            run_experiment(cfg)
+        assert not os.path.exists(tmp_path / "d_family")
+
     def test_unknown_check(self, tmp_path):
         cfg = self.diag_config(tmp_path, "d6", "nope")
         with pytest.raises(ConfigError, match="check") as err:
             run_experiment(cfg)
         assert "gf-bound" in str(err.value)
 
-    # (N, p, diagnose.* keys) small enough for every check to run in well
-    # under a second; s = 0 keeps the concentration trial's mixing norm at 0
-    TINY = {
-        "gf-bound": (1, 2, {"samples": 2}),
-        "eta-bound": (1, 2, {"samples": 1, "n": 3}),
-        "kl-decomp": (1, 2, {"samples": 1}),
-        "psd": (1, 1, {"n": 2000, "segments": 4, "freq_points": 4, "s": 0}),
-        "decay-table": (1, 2, {"p_values": "1,2"}),
-        "grad-bound": (2, 1, {"n": 50, "replicates": 2, "s": 1}),
-        "concentration": (100, 1, {"n": 50, "replicates": 2, "s": 0, "t": 0.5}),
-        "rsc": (2, 1, {"n": 100, "directions": 2, "s": 1}),
-    }
-
-    @pytest.mark.parametrize("check", sorted(TINY))
+    @pytest.mark.parametrize("check", sorted(TINY_CHECKS))
     def test_every_check_writes_indexed_files(self, tmp_path, check):
-        n_dims, n_lags, extra = self.TINY[check]
+        n_dims, n_lags, extra = TINY_CHECKS[check]
         cfg = self.diag_config(tmp_path, "d8", check, n_dims=n_dims, n_lags=n_lags, **extra)
         *written, index = run_experiment(cfg)
         assert read_rows(index) == [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mbp._kernels import bernoulli_loss_terms
-from mbp.link import LinkSpec, sigmoid, sigmoid_link
+from mbp.link import sigmoid, sigmoid_link
 
 
 def eval_deriv(link, u):
@@ -29,10 +29,6 @@ class TestConstruction:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             sigmoid_link(0.0, 0.05)
-
-    def test_only_sigmoid(self):
-        with pytest.raises(ValueError):
-            LinkSpec(kind="probit", alpha=1.0, eps=0.05)
 
 
 class TestEval:
