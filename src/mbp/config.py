@@ -185,6 +185,11 @@ class ExperimentConfig:
         for key, (name, _) in KEYS.items():
             if name in required and name not in values:
                 raise ConfigError(f"missing required key '{key}'")
+        for part, value in values.get("link", {}).items():
+            try:  # LinkSpec checks each field alone: this names the bad key
+                LinkSpec(**{part: value})
+            except ValueError as exc:
+                raise ConfigError(f"key 'link.{part}': {exc}") from exc
         if "link" in values:
             values["link"] = LinkSpec(**values["link"])
         return cls(**values)

@@ -2,13 +2,14 @@
 
 The loss is a sum over the N output rows, each an l1-penalized logistic
 regression on the shared design matrix, so the rows are solved separately,
-all in the same numpy calls. A Newton step takes the full gradient and
-freezes the rows already within tolerance. Each other row gets a working
-set, its support plus its worst violators of the optimality conditions, and
-a direction from its quadratic model on that set: coordinate descent sweeps,
-each followed by a Newton step on the sign pattern the sweep reached. A
-backtracking line search on the row's true objective sets the step. The fit
-stops when every row's KKT violation is at most ``tol`` times lambda.
+all in the same numpy calls. A Newton step freezes the rows already within
+tolerance. Each other row gets a working set, its support plus its worst
+violators of the optimality conditions, and a direction from its quadratic
+model on that set: coordinate descent sweeps, each followed by a Newton step
+on the sign pattern the sweep reached. A line search on the row's working
+set sets the step and carries the row's predictors forward; only the rows
+that moved get a new gradient. The fit stops when, on fresh predictors,
+every row's KKT violation is at most ``tol`` times lambda.
 Support selection and error metrics for recovery experiments live here too.
 """
 
@@ -72,7 +73,8 @@ class FitResult:
     ``stop_reason`` is "kkt" (converged), "max_iters" or "line_search" (a row
     not yet converged found no descending step). ``iterations`` counts Newton
     steps; ``gradients``, ``inner_sweeps`` and ``halvings`` count the fit's
-    full gradients, coordinate-descent sweeps and line-search halvings.
+    loss-and-gradient passes (full at the start and before a stop, else on
+    the rows a step moved), coordinate-descent sweeps and halvings.
     ``kkt_over_lambda`` is the final KKT violation over lambda (inf at
     lambda = 0 unless it is 0), ``nnz`` the number of nonzero entries.
     """
@@ -140,8 +142,9 @@ def fit(
     Newton steps until every row's KKT violation is at most ``config.tol``
     times lambda (times the start gradient's sup-norm at lambda = 0), until
     ``config.max_iters`` steps, or until every row still above it has found
-    no descending step. The trace holds the start objective plus the
-    accepted decreases, so it never increases.
+    no descending step, each stop decided on fresh predictors. The trace
+    holds the start objective plus the accepted decreases, so it never
+    increases.
     """
     n_dims, p, lam = path.n_dims, path.n_lags, config.lam
     w = np.zeros((n_dims, n_dims * p))
@@ -150,31 +153,39 @@ def fit(
             raise ValueError("theta_init shape does not match the path")
         w[:] = stack_tensor(theta_init)
     X = design_matrix(path)
+    gather = _column_gather(path)
     Y = path.samples().astype(np.float64)
     counts = dict(gradients=0, inner_sweeps=0, halvings=0)
+    grad, pred, moved = np.empty_like(w), None, slice(None)
     # a row whose line search failed stays frozen: only its own entries
     # move its gradient, so a retry would fail again
-    trace, reason, stalled = [], None, np.zeros(n_dims, dtype=bool)
-    while reason is None:
-        loss, grad, pred = _nll_grad_on_design(w, X, Y, link)
-        counts["gradients"] += 1
-        viol = _row_violations(w, grad, lam)
+    trace, stalled = [], np.zeros(n_dims, dtype=bool)
+    while True:
+        if pred is None or moved.size:
+            # pred None: fresh predictors, every row's gradient; else the carried
+            # predictors and the rows that moved, as the loss separates over rows
+            fresh = pred is None
+            loss, grad[moved], pred = _nll_grad_on_design(w, X, Y, link, moved, pred)
+            counts["gradients"] += 1
         if not trace:
             trace.append(loss + lam * float(np.abs(w).sum()))
             # tol * lam is 0 at lam = 0 and could never be met
             limit = config.tol * (lam if lam > 0 else float(np.abs(grad).max()))
+        viol = _row_violations(w, grad, lam)
         rows = np.flatnonzero((viol > limit) & ~stalled)
-        if viol.max() <= limit:
-            reason = "kkt"
-        elif not rows.size:
-            reason = "line_search"
-        elif len(trace) > config.max_iters:
-            reason = "max_iters"
-        else:
-            change, failed = _newton_step(w, grad, viol, pred, rows, X, Y, link, lam, counts)
-            stalled[rows[failed]] = True
-            trace.append(trace[-1] + change)
+        if not rows.size or len(trace) > config.max_iters:
+            if fresh:
+                break
+            # carried predictors drift in the last bits, so every stop is
+            # decided, and its violation reported, on fresh ones
+            pred, moved = None, slice(None)
+            continue
+        change, failed = _newton_step(w, grad, viol, pred, rows, gather, Y, link, lam, counts)
+        stalled[rows[failed]] = True
+        trace.append(trace[-1] + change)
+        moved = rows[~failed]
 
+    reason = "kkt" if viol.max() <= limit else "line_search" if not rows.size else "max_iters"
     worst = float(viol.max())
     return FitResult(
         theta_hat=unstack_tensor(w, p),
@@ -187,6 +198,14 @@ def fit(
     )
 
 
+def _column_gather(path):
+    # design column (l - 1) N + j is row [j, p - l] of a read-only (N, p + 1, n)
+    # window view of the transposed path, so a gather copies contiguous rows
+    data = np.ascontiguousarray(path.data.T, dtype=np.float64)
+    windows = np.lib.stride_tricks.sliding_window_view(data, path.n, axis=1)
+    return lambda cols: windows[cols % path.n_dims, path.n_lags - 1 - cols // path.n_dims]
+
+
 def _row_violations(w, grad, lam):
     # per row, the largest violation of the optimality conditions (see kkt_residual)
     on_support = np.abs(grad + lam * np.sign(w))
@@ -194,29 +213,29 @@ def _row_violations(w, grad, lam):
     return np.where(w != 0.0, on_support, off_support).max(axis=-1)
 
 
-def _newton_step(w, grad, viol, pred, rows, X, Y, link, lam, counts):
-    """One proximal Newton step on ``rows`` of ``w``, updated in place.
+def _newton_step(w, grad, viol, pred, rows, gather, Y, link, lam, counts):
+    """One proximal Newton step on ``rows`` of ``w``; ``w`` and ``pred`` move in place.
 
     Returns (objective change, mask of the rows that found no descending step).
     """
-    n, alpha = X.shape[0], link.alpha
-    # working set: the support, then the top max(10, 2 |support|) violators;
-    # rows are padded to one width, the padding masked out by ``valid``
+    n, alpha = Y.shape[0], link.alpha
+    # working set: the support, then the top max(10, 2 |support|) violators,
+    # the first ``sizes`` of ``order``; the padding to one width is not ``valid``
     on = w[rows] != 0.0
     score = np.where(on, np.inf, np.abs(grad[rows]) - lam)
     order = np.argsort(-score, axis=1, kind="stable")
-    size = on.sum(axis=1, keepdims=True)
-    valid = np.take_along_axis(score, order, 1) > 0.0
-    valid &= np.arange(score.shape[1]) < size + np.maximum(10, 2 * size)
-    n_rows, width = len(rows), valid.sum(axis=1).max()
-    cols, valid = order[:, :width], valid[:, :width]
+    size = on.sum(axis=1)
+    sizes = np.minimum((score > 0.0).sum(axis=1), size + np.maximum(10, 2 * size))
+    n_rows, width = len(rows), sizes.max()
+    cols, valid = order[:, :width], np.arange(width) < sizes[:, None]
     # each row's weighted Gram, gathered one row at a time to bound memory
-    a = alpha * pred[:, rows]
+    a = alpha * pred[:, rows].T
     weight = alpha * np.sqrt(sigmoid(a) * sigmoid(-a) / n)
     hess = np.zeros((n_rows, width, width))
-    for r in range(n_rows):
-        z = X[:, cols[r, valid[r]]] * weight[:, r : r + 1]
-        hess[r, : z.shape[1], : z.shape[1]] = z.T @ z
+    for r, k in enumerate(sizes):
+        z = gather(cols[r, :k])
+        z *= weight[r]
+        hess[r, :k, :k] = z @ z.T
     diag = np.maximum(np.where(valid, np.diagonal(hess, axis1=1, axis2=2), 1.0), 1e-12)
     base, g = (np.where(valid, full[rows[:, None], cols], 0.0) for full in (w, grad))
 
@@ -243,32 +262,33 @@ def _newton_step(w, grad, viol, pred, rows, X, Y, link, lam, counts):
     pen = np.where(same, np.sign(base) * d, np.abs(base + d) - np.abs(base))
     model = (g * d + lam * pen).sum(axis=1)
 
-    # backtracking line search on each row's true objective, for the move
-    # the rounded trial point really makes, each loss term's change taken by
-    # softplus_change rather than as a difference of two losses
-    sign = -alpha * (2.0 * Y[:, rows] - 1.0)
-    t, change, todo = np.ones(n_rows), np.zeros(n_rows), model < 0.0
-    for trial in range(_MAX_HALVINGS + 1):
-        idx = np.flatnonzero(todo)
-        if not idx.size:
-            break
-        if trial:
-            t[idx] *= 0.5
-            counts["halvings"] += idx.size
-        new = base + t[:, None] * d
-        move = np.zeros((n_rows, w.shape[1]))
-        move[np.nonzero(valid)[0], cols[valid]] = (new - base)[valid]
-        shift = sign[:, idx] * (X @ move[idx].T)
-        terms = softplus_change(sign[:, idx] * pred[:, rows[idx]], shift)
-        delta = terms.sum(axis=0) / n + lam * (np.abs(new[idx]) - np.abs(base[idx])).sum(axis=1)
-        # a decrease below the rounding error of its own sum proves nothing
-        noise = _ROUNDING * np.abs(terms).sum(axis=0) / n
-        good = (delta <= _ARMIJO * t[idx] * model[idx]) & (delta < -noise)
-        change[idx[good]] = delta[good]
-        todo[idx[good]] = False
-    failed = todo | (model >= 0.0)
-    w[rows[np.nonzero(valid)[0]], cols[valid]] = np.where(failed[:, None], base, new)[valid]
-    return float(change.sum()), failed
+    # backtracking line search, row by row on the working-set columns, on the
+    # true objective for the move the rounded trial point really makes, each
+    # loss term's change taken by softplus_change, not as a difference of two
+    # losses; an accepted row carries its predictors forward by its shift
+    change, failed = 0.0, model >= 0.0
+    for r in np.flatnonzero(~failed):
+        i, c, b, e = rows[r], cols[r, : sizes[r]], base[r, : sizes[r]], d[r, : sizes[r]]
+        x = gather(c)
+        sign = -alpha * (2.0 * Y[:, i] - 1.0)
+        margin = sign * pred[:, i]
+        for trial in range(_MAX_HALVINGS + 1):
+            t = 0.5**trial
+            new = b + t * e
+            shift = (new - b) @ x
+            terms = softplus_change(margin, sign * shift)
+            delta = terms.sum() / n + lam * (np.abs(new) - np.abs(b)).sum()
+            # a decrease below the rounding error of its own sum proves nothing
+            noise = _ROUNDING * np.abs(terms).sum() / n
+            if delta <= _ARMIJO * t * model[r] and delta < -noise:
+                w[i, c] = new
+                pred[:, i] += shift
+                change += delta
+                break
+        else:
+            failed[r] = True
+        counts["halvings"] += trial
+    return float(change), failed
 
 
 def _face_step(hess, base, g, d, hd, lam, live):

@@ -15,7 +15,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -40,23 +40,6 @@ from .tensor import ParamTensor, mixing_norm, read_tensor
 
 __all__ = ["RunRecord", "RECORD_COLUMNS", "run_experiment"]
 
-RECORD_COLUMNS = (
-    "experiment",
-    "replicate",
-    "N",
-    "p",
-    "s",
-    "n",
-    "lambda",
-    "frob_error",
-    "frob_error_sq",
-    "support_fraction",
-    "iterations",
-    "converged",
-    "wall_seconds",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -79,6 +62,12 @@ class RunRecord:
 
     def row(self):
         return [_cell(v) for v in astuple(self)]
+
+
+# the runs CSV header: RunRecord's fields, three of them under shorter names
+RECORD_COLUMNS = tuple(
+    {"n_dims": "N", "n_lags": "p", "lam": "lambda"}.get(f.name, f.name) for f in fields(RunRecord)
+)
 
 
 def _cell(x):

@@ -86,15 +86,16 @@ def nll_grad(
     return value, unstack_tensor(grad_mat, theta.n_lags)
 
 
-def _nll_grad_on_design(stacked, X, Y, link):
+def _nll_grad_on_design(stacked, X, Y, link, rows=slice(None), pred=None):
     # shared hot path of nll_grad, kkt_residual and the solver: one predictor
-    # matmul, fused elementwise pass, one residual matmul; returns (value,
-    # gradient in stacked (N, Np) layout, predictors (n, N))
+    # matmul (none at zero or on the solver's carried ``pred``), fused pass and
+    # residual matmul on output ``rows`` alone; returns (value, stacked
+    # gradient of those rows, all predictors (n, N))
     n = X.shape[0]
-    pred = X @ stacked.T
-    loss, resid = _kernels.bernoulli_loss_terms(pred, Y, link.alpha, True)
-    grad = (resid.T @ X) / n
-    return loss / n, grad, pred
+    if pred is None:
+        pred = X @ stacked.T if stacked.any() else np.zeros((n, stacked.shape[0]))
+    loss, resid = _kernels.bernoulli_loss_terms(pred[:, rows], Y[:, rows], link.alpha, True)
+    return loss / n, (resid.T @ X) / n, pred
 
 
 def quad_form(delta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:

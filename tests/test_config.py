@@ -82,6 +82,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="link.alpha"):
             ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "link.alpha = abc\n"))
 
+    @pytest.mark.parametrize("line", ["link.alpha = -1", "link.eps = 0.7"])
+    def test_bad_link_value_names_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            ExperimentConfig.from_mapping(parse_config_text(MINIMAL + line + "\n"))
+
     def test_fixed_lambda_requires_value(self):
         with pytest.raises(ConfigError, match="lambda.value"):
             ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "lambda.mode = fixed\n"))

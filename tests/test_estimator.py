@@ -13,6 +13,7 @@ from helpers import path_from_rows
 
 from mbp.estimator import (
     FitConfig,
+    _column_gather,
     error_metrics,
     fit,
     kkt_residual,
@@ -163,7 +164,72 @@ class TestFit:
         assert not res.converged
         assert res.stop_reason == "max_iters"
         assert res.iterations == 3
-        assert res.gradients == 4
+        # the start, one pass per step on the rows it moved, the exact refresh
+        assert res.gradients == 5
+
+    @pytest.mark.parametrize("reason", ["kkt", "max_iters", "line_search"])
+    def test_stop_decided_on_exact_predictors(self, monkeypatch, reason):
+        # the solver carries its predictors from step to step; whatever stops
+        # it, the violation it reports is the one kkt_residual computes afresh
+        module = importlib.import_module("mbp.estimator")
+        path = simulate(random_sparse_theta(3, 2, 6, seed=5), LINK, 200, seed=5)
+        lam = 1e-4
+        if reason == "line_search":
+            # from the fourth step on no trial step descends, so every row
+            # still above tolerance stalls on predictors carried three steps
+            step, change, steps = module._newton_step, module.softplus_change, []
+
+            def fourth_step_stalls(*args):
+                steps.append(None)
+                if len(steps) == 4:
+                    monkeypatch.setattr(
+                        module, "softplus_change", lambda b, delta: change(b, delta) + 1.0
+                    )
+                return step(*args)
+
+            monkeypatch.setattr(module, "_newton_step", fourth_step_stalls)
+        config = {
+            "kkt": FitConfig(lam=lam),
+            "max_iters": FitConfig(lam=lam, tol=1e-14, max_iters=3),
+            "line_search": FitConfig(lam=lam, tol=1e-14),
+        }[reason]
+        res = fit(path, LINK, config)
+        assert res.stop_reason == reason
+        assert res.iterations >= 3
+        assert res.kkt_over_lambda * lam == pytest.approx(
+            kkt_residual(res.theta_hat, path, LINK, lam), rel=1e-12, abs=0.0
+        )
+
+    def test_carried_predictors_follow_each_move(self, monkeypatch):
+        # each accepted row shifts its predictors by its working-set columns
+        # times its move: X @ move up to rounding
+        module = importlib.import_module("mbp.estimator")
+        path = simulate(random_sparse_theta(4, 2, 8, seed=2), LINK, 300, seed=2)
+        step, moves = module._newton_step, []
+
+        def recorded(w, grad, viol, pred, *rest):
+            w0, pred0 = w.copy(), pred.copy()
+            out = step(w, grad, viol, pred, *rest)
+            moves.append((w - w0, pred - pred0))
+            return out
+
+        monkeypatch.setattr(module, "_newton_step", recorded)
+        fit(path, LINK, FitConfig(lam=0.01))
+        X = design_matrix(path)
+        assert len(moves) > 1 and all(move.any() for move, _ in moves)
+        for move, shift in moves:
+            np.testing.assert_allclose(shift, X @ move.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_dims, p, n", [(3, 1, 50), (1, 1, 40), (20, 20, 4490)], ids=["p1", "Np1", "sweep_p20"]
+    )
+    def test_gathered_columns_are_design_columns(self, n_dims, p, n):
+        rng = np.random.default_rng(n_dims + p)
+        path = path_from_rows(rng.integers(0, 2, size=(n + p, n_dims)), n_lags=p)
+        cols = rng.permutation(n_dims * p)
+        rows = _column_gather(path)(cols)
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == np.ascontiguousarray(design_matrix(path)[:, cols].T).tobytes()
 
     def test_step_underflow_is_not_convergence(self, monkeypatch):
         # every trial step scores 1.0 above its true loss change, so no step
@@ -213,10 +279,10 @@ class TestFit:
         "lam, iterations, theta_digest, trace_digest",
         [
             (0.01, 4,
-             "8175bec52b0d4958f228bb043490a528bfa380e8863ecb2c47352ea06bc3a565",
+             "0ae43faf4f6f92a0817b3dbc712bb5a9ccb10fed9c3be43bb59677f4cd4da1c9",
              "79c1b769b4c154059d6e27aad3083a071e8b88f19c0b54ed0f6d1ac5fca082c4"),
             (0.0, 4,
-             "c4f79305554d1947714737ec043017437f233b942fd4d1f118444ad89ee9b7ae",
+             "04313a4f15f038841c6ad709998db590784b3c1af7d6c3011f5213a3bdac7274",
              "1dda05376a9f7f36c1730e99381d02e1ce2fd33173150dafd1b60054f9b0b9ef"),
         ],
         ids=["lam_0.01", "lam_0"],

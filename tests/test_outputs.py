@@ -66,17 +66,17 @@ DIGESTS = {
     },
     "error_vs_n": {
         "error_vs_n_runs.csv":
-            "cfff351ac405d086c6e4abcb7d0bba3b823d7800743ca3591b75a6a23414bdb8",
+            "1a0ed6aee5f7877b3d32311fc192ed658ba9b536c75a49f520a9379d427937b6",
         "error_vs_n_summary.csv":
-            "2d1023e5664dea76f8093b5f36b6ab01451b752e17de92ab0938a2ffcc14de55",
+            "680070097b447263602762af9ccb17082a2d63e92e5c5ffa4f6cde0f45241252",
     },
     "error_vs_sparsity": {
         "error_vs_sparsity_runs.csv":
-            "3156c9c24b2271cdb5d87d4d7d779eb2ea5ddf46841486a6c274272cdbd8fd1b",
+            "3f5769e7c1cdd32c85f5a5c3aa8d8763541534f6de0706fd3104bce355633d63",
         "error_vs_sparsity_summary.csv":
-            "86ceb4461f554be4769a279951b0ccdefe319ae5562d1f5512e00d81ffc51c6c",
+            "76c0f27dd616105e19b998b534c18a7372e95d37ed2b531d17d0c51240b33857",
         "error_vs_sparsity_trend.csv":
-            "4adf8203e1652cbff4d87c94001d258af1ad760e62a50e3ccf8b4f2ea2531c3c",
+            "1c79038e89710ba2c555fd2b892f12e3662117bcfaa9b49dbcfd62cb14dc70be",
     },
     "eta-bound": {
         "diagnose_eta_bound.csv":
@@ -100,9 +100,9 @@ DIGESTS = {
     },
     "grid": {
         "grid_matrix.csv":
-            "973c29cf6ace4e2e641f34bd6e1646d66f2a146f5ac7c988cb8764f879f54024",
+            "50170543c075e5f38b748ce154e8abbad393fa202d782644daa243f470cb99c9",
         "grid_runs.csv":
-            "56f65ce04c360d0694dbe6bb6b1cd6b515d036c1ec0b21003df9fc19cc0f6774",
+            "1c457b97df9d16c78afa4c28b80df2d07f230c3ffb11268af8e515426998a6e5",
     },
     "kl-decomp": {
         "diagnose_index.csv":
@@ -126,7 +126,7 @@ DIGESTS = {
     },
     "support_recovery": {
         "support_recovery_runs.csv":
-            "9372e0646c8f18b71f09e6e9622780094ddb9e79166758e26e103e92158c311c",
+            "3661226dd94f4a3bcdaaefbea4bf14c88b02e4275e363499de492f5e67099f60",
         "support_recovery_summary.csv":
             "2fcc6d72b9aecdec472333602bc7c479b315d63bc98ad27ed3c1bb12b11718dc",
     },
