@@ -59,11 +59,8 @@ from .markov import (
     check_mixing_coefficient_bound,
     contraction_check,
     dobrushin_coefficient,
-    kl_bernoulli,
-    kl_bernoulli_bound,
     kl_chain_decomposition,
     mixing_coefficients,
-    mixing_row_sum_exact,
     mixing_sum_bound,
 )
 from .spectral import (

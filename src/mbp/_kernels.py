@@ -10,10 +10,14 @@ is reproducible given its seed.
 The chain kernel carries a replicate axis: R independent chains with the same
 tensor advance together, one (R, N p) @ (N p, N) product per time step, so a
 Monte-Carlo trial pays the per-step interpreter cost once instead of R times.
-A single chain (R = 1) whose lag window has at most ``TABLE_MAX_BITS`` bits
-runs from a state table instead: the draw probabilities of each of its
-2^(N p) windows are computed once, by the same call the step loop makes, and
-each step only compares its uniforms against stored floats.
+No step takes a sigmoid: a draw u < sigmoid(alpha v) compares the predictor v
+with the top of a window [lo, hi] around logit(u) / alpha that covers every
+rounding of both forms. After each block of steps, the first step with a
+predictor inside its window is redrawn by the exact form on the replicate's
+one-row window and the block resumes after it, so every path is the exact
+form's path for any R. A single chain (R = 1) whose lag window has at most
+``TABLE_MAX_BITS`` bits runs from a table of the exact form's probabilities
+for each of its 2^(N p) windows, and each step only compares floats.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ __all__ = ["chain_steps", "bernoulli_loss_terms", "softplus_change", "lagged_squ
 # 2^(N p) window states; the 1024-row table takes about 8 ms to fill, the time
 # of some 600 loop steps, and each wider bit doubles that
 TABLE_MAX_BITS = 10
+# a block of the step loop runs at most BLOCK_STEPS steps and BLOCK_DRAWS
+# draws (but at least p steps); each of its arrays holds one float per draw
+BLOCK_STEPS = 512
+BLOCK_DRAWS = 1 << 15
+# relative rounding allowed to the logit, the sigmoid and the alpha multiply,
+# each within a few units of 2^-53
+_ROUNDING = 32 * np.finfo(np.float64).eps
 
 
 def chain_steps(init_hist, stacked, alpha, eps, uniforms):
@@ -42,37 +53,90 @@ def chain_steps(init_hist, stacked, alpha, eps, uniforms):
     flattened lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, R, N) uint8
     states.
 
-    A single chain (R = 1) with N p <= ``TABLE_MAX_BITS`` is chosen for the
-    table path, whatever T is. Its table row for a window holds
-    ``sigmoid(alpha * (h @ W'))`` computed from a fresh (1, N p) row h, the
-    same product on the same shapes, and the same sigmoid call, that the
-    step loop makes at that window. So every draw compares the same two
-    floats as in the loop, and the path is the loop's path bit for bit by
-    construction. Several replicates and wider windows step as above.
+    Every draw equals the exact form ``u < sigmoid(alpha * (h @ W'))`` on
+    the replicate's own fresh (1, N p) row h, so replicate r's path does not
+    depend on R. A single chain with N p <= ``TABLE_MAX_BITS`` runs from a
+    table of that form's probabilities per window (whatever T is), the rest
+    run the step loop of ``_loop_chain``.
     """
-    # the transposed view of a C-contiguous W keeps the R = 1 product on the
+    # the transposed view of a C-contiguous W keeps the one-row product on the
     # same BLAS routine, hence the same rounding, as a matrix-vector product
     w_t = np.ascontiguousarray(stacked, dtype=np.float64).T
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    lo, hi = float(eps), 1.0 - float(eps)
-    # u < clip(z, lo, hi) equals u' < z for z in [0, 1], with u' = -1 where
-    # u < lo (the draw is 1 whatever z is) and u' = 2 where u >= hi (it is 0):
-    # the clip moves out of the loop and every draw stays exactly the same
-    thresholds = np.where(uniforms < hi, uniforms, 2.0)
-    thresholds[uniforms < lo] = -1.0
     n_reps, p, n_dims = np.shape(init_hist)
     # lag windows ordered most recent block first, matching the stacked tensor
     h = np.asarray(init_hist)[:, ::-1].reshape(n_reps, p * n_dims).astype(np.float64)
     alpha = float(alpha)
     if n_reps == 1 and p * n_dims <= TABLE_MAX_BITS:
-        return _table_chain(h, w_t, alpha, thresholds)
+        return _table_chain(h, w_t, alpha, _thresholds(uniforms, eps))
+    return _loop_chain(h, w_t, alpha, eps, uniforms)
+
+
+def _thresholds(uniforms, eps):
+    """u' with u < clip(z, eps, 1 - eps) equal to u' < z for z in [0, 1]: u' = -1
+    where u < eps (the draw is 1), 2 where u >= 1 - eps (it is 0), else u."""
+    thresholds = np.where(uniforms < 1.0 - eps, uniforms, 2.0)
+    thresholds[uniforms < eps] = -1.0
+    return thresholds
+
+
+def _exact_probs(h, w_t, alpha):
+    """The exact form's draw probabilities sigmoid(alpha * (h @ W')) of a (1, N p) window."""
+    return sigmoid(alpha * (h @ w_t))[0]
+
+
+def _loop_chain(h, w_t, alpha, eps, uniforms):
+    """The step loop of ``chain_steps``, the same for every R.
+
+    The cut of a threshold u is logit(u) / alpha. A predictor above
+    hi = cut + half draws 1, one at or below lo = cut - half draws 0, and one
+    in between is redrawn. Per coordinate, half covers the
+    product: a sum over a 0/1 window is within K 2^-53 sum_k |W_ik| of exact
+    in any order, so the block's and the exact form's are within twice that.
+    It also covers the rounding of the logit, the sigmoid and the alpha
+    multiply: a few ulps of the cut and of u over the slope u (1 - u), for u
+    in [eps, 1 - eps). States are 0/1 floats in a time-reversed buffer: step
+    k of a B-step block writes at block index B - 1 - k, so its lag window,
+    most recent state first, is the slice [B - k, B - k + p).
+    """
+    n_steps, n_reps, n_dims = uniforms.shape
+    n_bits = w_t.shape[0]
+    p = n_bits // n_dims
+    width = max(p, min(BLOCK_STEPS, n_steps, BLOCK_DRAWS // (n_reps * n_dims)))
+    slack = 2 * n_bits * np.finfo(np.float64).eps * np.abs(w_t).sum(axis=0)
+    half = slack + _ROUNDING * (np.log((1 - eps) / eps) + 1 / (eps * (1 - eps))) / alpha
+    buf = np.empty((n_reps, (width + p) * n_dims))
+    buf[:, width * n_dims :] = h
+    windows = [buf[:, (width - k) * n_dims : (width - k + p) * n_dims] for k in range(width)]
+    draws = [buf[:, (width - 1 - k) * n_dims : (width - k) * n_dims] for k in range(width)]
+    v = np.empty((width, n_reps, n_dims))
     states = np.empty(uniforms.shape, dtype=np.uint8)
-    recent, older, newer = h[:, :n_dims], h[:, n_dims:], h[:, :-n_dims]
-    for u, x in zip(thresholds, states):
-        np.less(u, sigmoid(alpha * (h @ w_t)), out=x)
-        if p > 1:
-            older[...] = newer
-        recent[...] = x
+    matmul, less = np.matmul, np.less
+    for t in range(0, n_steps, width):
+        thresholds = _thresholds(uniforms[t : t + width], eps)
+        q = thresholds.clip(0.0, 1.0)  # -1 and 2 give the cuts -inf and inf
+        with np.errstate(divide="ignore"):
+            cut = np.log(q / (1.0 - q)) / alpha
+        lo, hi = cut - half, cut + half
+        b, k = len(thresholds), 0
+        while k < b:
+            for window, v_k, hi_k, x in zip(windows[k:b], v[k:b], hi[k:b], draws[k:b]):
+                matmul(window, w_t, v_k)
+                less(hi_k, v_k, x, casting="unsafe")
+            doubt = ((lo[k:b] < v[k:b]) & (v[k:b] <= hi[k:b])).any(axis=2)
+            flagged = np.flatnonzero(doubt.any(axis=1))
+            if not flagged.size:
+                break
+            k, first = k + int(flagged[0]), doubt[flagged[0]]
+            for r in np.flatnonzero(first):
+                probs = _exact_probs(windows[k][r : r + 1].copy(), w_t, alpha)
+                draws[k][r] = thresholds[k, r] < probs
+            k += 1
+        newest = (width - b) * n_dims  # where the block's last step wrote
+        block = buf[:, newest : width * n_dims].reshape(n_reps, b, n_dims)
+        states[t : t + b] = block[:, ::-1].swapaxes(0, 1)
+        # the block's last p states are the next block's first window
+        buf[:, width * n_dims :] = buf[:, newest : newest + p * n_dims]
     return states
 
 
@@ -91,7 +155,7 @@ def _table_chain(h, w_t, alpha, thresholds):
     table = []
     for bits in _state_bit_matrix(n_bits):
         window[0] = bits
-        table += sigmoid(alpha * (window @ w_t))[0].tolist()
+        table += _exact_probs(window, w_t, alpha).tolist()
     mask = (1 << n_bits) - 1
     state = sum(1 << k for k in np.flatnonzero(h[0]).tolist())
     u = memoryview(thresholds.ravel())

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .estimator import FitConfig
 from .link import LinkSpec
-from .simulate import DEFAULT_BURN_IN
+from .simulate import DEFAULT_BURN_IN, MAGNITUDE_HIGH, MAGNITUDE_LOW
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config", "resolve_c2"]
 
@@ -129,8 +129,8 @@ class ExperimentConfig:
     lambda_mode: str = "simulation"
     lambda_c2: float | None = None
     lambda_value: float | None = None
-    magnitude_low: float = 0.3
-    magnitude_high: float = 1.0
+    magnitude_low: float = MAGNITUDE_LOW
+    magnitude_high: float = MAGNITUDE_HIGH
     burn_in: int = DEFAULT_BURN_IN
     fit_tol: float = 1e-6
     fit_max_iters: int = FitConfig.max_iters

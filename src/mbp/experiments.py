@@ -25,7 +25,7 @@ from .likelihood import concentration_trial, grad_bound_trial, rsc_probe
 from .markov import (
     contraction_check,
     kl_chain_decomposition,
-    mixing_coefficient_bound,
+    mixing_bound_rows,
     mixing_coefficients,
 )
 from .simulate import random_sparse_theta, simulate
@@ -92,11 +92,8 @@ def _point_seeds(master_seed: int, s: int, n: int, replicate: int):
     # seeds depend only on (master_seed, point, replicate): sweeps sharing a
     # point share draws, so a grid row equals the matching 1-D sweep
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(s), int(n), int(replicate)))
-    theta_ss, path_ss = ss.spawn(2)
-    return (
-        int(theta_ss.generate_state(1, np.uint64)[0]),
-        int(path_ss.generate_state(1, np.uint64)[0]),
-    )
+    # (theta seed, path seed)
+    return tuple(int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(2))
 
 
 def _effective_lambda(config: ExperimentConfig, n: int) -> float:
@@ -279,11 +276,7 @@ def _eta_bound(config):
     for i, theta in enumerate(_mixing_thetas(config)):
         tau = contraction_check(theta, config.link).tau1_p_step
         eta = mixing_coefficients(theta, config.link, n)
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                bound = mixing_coefficient_bound(tau, config.n_lags, k, l)
-                value = eta[k - 1, l - 1]
-                rows.append([i, k, l, float(value), bound, value <= bound + 1e-10])
+        rows += [[i, *row] for row in mixing_bound_rows(eta, tau, config.n_lags)]
     columns = ["sample", "k", "l", "eta", "bound", "holds"]
     return [_write(config, "diagnose_eta_bound.csv", columns, rows)]
 

@@ -55,11 +55,7 @@ EXACT_MEAN_MAX_BITS = 10
 
 
 def _check_shapes(theta: ParamTensor, path: SamplePath) -> None:
-    if (
-        theta.n_rows != path.n_dims
-        or theta.n_cols != path.n_dims
-        or theta.n_lags != path.n_lags
-    ):
+    if theta.values.shape != (path.n_dims, path.n_dims, path.n_lags):
         raise ValueError(
             f"tensor shape {theta.values.shape} does not match path with "
             f"N={path.n_dims}, p={path.n_lags}"
@@ -71,9 +67,7 @@ def nll(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> float:
     return nll_grad(theta, path, link)[0]
 
 
-def nll_grad(
-    theta: ParamTensor, path: SamplePath, link: LinkSpec
-) -> tuple[float, ParamTensor]:
+def nll_grad(theta: ParamTensor, path: SamplePath, link: LinkSpec) -> tuple[float, ParamTensor]:
     """(:func:`nll`, its exact gradient) in one pass.
 
     The gradient's (i, j) entry averages alpha (sigmoid(alpha u_i) - y_i)
@@ -127,10 +121,7 @@ def stationary_quad_form(delta: ParamTensor, theta: ParamTensor, link: LinkSpec)
 
 
 def taylor_remainder(
-    theta_star: ParamTensor,
-    delta: ParamTensor,
-    path: SamplePath,
-    link: LinkSpec,
+    theta_star: ParamTensor, delta: ParamTensor, path: SamplePath, link: LinkSpec
 ) -> float:
     """First-order Taylor remainder of the loss around ``theta_star``.
 

@@ -21,7 +21,6 @@ the design matrix and of the stacked tensor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +39,8 @@ __all__ = [
     "mixing_coefficients",
     "check_mixing_coefficient_bound",
     "mixing_coefficient_bound",
-    "mixing_row_sum_exact",
+    "mixing_bound_rows",
     "mixing_sum_bound",
-    "kl_bernoulli",
-    "kl_bernoulli_bound",
     "KlDecomposition",
     "kl_chain_decomposition",
 ]
@@ -283,22 +280,20 @@ def mixing_coefficient_bound(tau: float, p: int, k: int, l: int) -> float:
     return tau ** (1 + (l - k - 1) // p)
 
 
+def mixing_bound_rows(eta, tau: float, p: int):
+    """(k, l, eta_kl, bound, holds) for each pair k <= l of an (n, n) eta, in
+    (k, l) order: holds is eta_kl <= mixing_coefficient_bound + 1e-10."""
+    for k in range(1, len(eta) + 1):
+        for l in range(k, len(eta) + 1):
+            bound = mixing_coefficient_bound(tau, p, k, l)
+            yield k, l, float(eta[k - 1, l - 1]), bound, eta[k - 1, l - 1] <= bound + 1e-10
+
+
 def check_mixing_coefficient_bound(theta: ParamTensor, link: LinkSpec, n: int) -> bool:
     """Exact check of eta_{k l} <= mixing_coefficient_bound for all pairs k <= l <= n."""
     tau = contraction_check(theta, link).tau1_p_step
-    eta = mixing_coefficients(theta, link, n)
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            bound = mixing_coefficient_bound(tau, theta.n_lags, k, l)
-            if eta[k - 1, l - 1] > bound + 1e-10:
-                return False
-    return True
-
-
-def mixing_row_sum_exact(theta: ParamTensor, link: LinkSpec, n: int) -> float:
-    """max_k sum_{l >= k} eta_{k l}, the row-sum norm of the mixing matrix."""
-    eta = mixing_coefficients(theta, link, n)
-    return float(np.triu(eta).sum(axis=1).max())
+    rows = mixing_bound_rows(mixing_coefficients(theta, link, n), tau, theta.n_lags)
+    return all(holds for *_, holds in rows)
 
 
 def mixing_sum_bound(tau: float, p: int) -> float:
@@ -311,29 +306,8 @@ def mixing_sum_bound(tau: float, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Kullback-Leibler lemmas
+# Kullback-Leibler chain rule
 # ---------------------------------------------------------------------------
-
-
-def kl_bernoulli(p_: float, q_: float) -> float:
-    """Exact KL divergence between Ber(p_) and Ber(q_)."""
-    if not (0.0 < p_ < 1.0 and 0.0 < q_ < 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    return p_ * math.log(p_ / q_) + (1.0 - p_) * math.log((1.0 - p_) / (1.0 - q_))
-
-
-def kl_bernoulli_bound(p_: float, q_: float, eps: float) -> float:
-    """Quadratic upper bound 3 (p - q)^2 / (4 eps (1 - eps)).
-
-    Valid whenever both probabilities lie in [eps, 1 - eps]; arguments
-    outside that band are rejected.
-    """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    slack = 1e-12  # tolerate grid roundoff at the band edges
-    if not (eps - slack <= p_ <= 1.0 - eps + slack and eps - slack <= q_ <= 1.0 - eps + slack):
-        raise ValueError("probabilities must lie in [eps, 1 - eps]")
-    return 3.0 / (4.0 * eps * (1.0 - eps)) * (p_ - q_) ** 2
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,13 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 # uniforms held at once by simulate_batch; more replicates run in several chunks.
-# The chain kernel adds a same-size threshold array and byte masks, and the
-# states take one byte per draw: a full chunk peaks at about 2.2 x this (68 MiB
-# under tracemalloc at N = 10, 3001 steps, 139 replicates).
+# The states, their recorded copy and the paths take one byte per draw each,
+# and the chain kernel adds a few arrays of one block: a full chunk peaks at
+# about 1.35 x this (42.5 MiB under tracemalloc at N = 10, 3001 steps, 139
+# replicates).
 MAX_BATCH_BYTES = 1 << 25
+# magnitude range of the nonzeros of random_sparse_theta (theta.magnitude_low/high)
+MAGNITUDE_LOW, MAGNITUDE_HIGH = 0.3, 1.0
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,10 @@ def simulate_batch(
     Replicate r draws ``default_rng(seeds[r]).random((p + burn_in + n, N))``,
     exactly as :func:`simulate` does for that seed: the first p rows give the
     initial window, the rest drive the chain. So replicate r's path equals
-    ``simulate(theta, link, n, burn_in, seeds[r])``; its predictors may differ
-    from the serial ones in the last bit (the batched product sums in another
-    order), which flips a draw only if its uniform falls within that rounding.
-    Replicates run in chunks that hold at most ``MAX_BATCH_BYTES`` of uniforms
-    (the chunk's peak memory is about 2.2 times that).
+    ``simulate(theta, link, n, burn_in, seeds[r])`` bit for bit (see
+    ``_kernels.chain_steps``). Replicates run in chunks that hold at most
+    ``MAX_BATCH_BYTES`` of uniforms (the chunk's peak memory is about 1.35
+    times that).
     """
     if not theta.is_square:
         raise ValueError(
@@ -167,8 +169,8 @@ def random_sparse_theta(
     n_dims: int,
     n_lags: int,
     s: int,
-    magnitude_low: float = 0.3,
-    magnitude_high: float = 1.0,
+    magnitude_low: float = MAGNITUDE_LOW,
+    magnitude_high: float = MAGNITUDE_HIGH,
     seed: int = 0,
 ) -> ParamTensor:
     """Square tensor with exactly s nonzeros at uniform random positions.

@@ -43,9 +43,7 @@ class SpectralReport:
     spectral_floor: float
 
 
-def psd_estimate(
-    path: SamplePath, n_segments: int, freq_points: int = 256
-) -> SpectralReport:
+def psd_estimate(path: SamplePath, n_segments: int, freq_points: int = 256) -> SpectralReport:
     """Bartlett estimate of the spectral density and its eigenvalue floor.
 
     The mean-centered path is cut into ``n_segments`` disjoint segments whose
@@ -60,9 +58,7 @@ def psd_estimate(
     if n_segments < 1 or freq_points < 1:
         raise ValueError("n_segments and freq_points must be positive")
     if path.n < 4 * n_segments:
-        raise ValueError(
-            f"path too short: n={path.n} but need at least {4 * n_segments}"
-        )
+        raise ValueError(f"path too short: n={path.n} but need at least {4 * n_segments}")
     x = path.data.astype(np.float64)
     x = x - x.mean(axis=0)
     seg_len = x.shape[0] // n_segments
@@ -76,22 +72,13 @@ def psd_estimate(
     bin_freqs = np.where(bin_freqs >= math.pi, bin_freqs - 2.0 * math.pi, bin_freqs)
     band = np.rint((bin_freqs + math.pi) * freq_points / (2.0 * math.pi)).astype(int)
     band %= freq_points
-    n_dims = path.n_dims
-    spectra = np.zeros((freq_points, n_dims, n_dims), dtype=complex)
+    spectra = np.zeros((freq_points, path.n_dims, path.n_dims), dtype=complex)
     counts = np.bincount(band, minlength=freq_points).astype(float)
     np.add.at(spectra, band, per_bin)
-    filled = counts > 0
-    spectra[filled] /= counts[filled][:, None, None]
-    freqs = -math.pi + 2.0 * math.pi * np.arange(freq_points) / freq_points
-    min_eigs = np.full(freq_points, np.inf)
-    for f in range(freq_points):
-        if filled[f]:
-            min_eigs[f] = np.linalg.eigvalsh(spectra[f]).min()
-    min_eigs = min_eigs[filled]
-    freqs = freqs[filled]
-    return SpectralReport(
-        freq_grid=freqs, min_eigs=min_eigs, spectral_floor=float(min_eigs.min())
-    )
+    filled = np.flatnonzero(counts)  # grid points that received a bin
+    min_eigs = np.linalg.eigvalsh(spectra[filled] / counts[filled][:, None, None]).min(axis=1)
+    freqs = -math.pi + 2.0 * math.pi * filled / freq_points
+    return SpectralReport(freq_grid=freqs, min_eigs=min_eigs, spectral_floor=float(min_eigs.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +144,8 @@ def decay_scaling_report(family, n_dims: int, p_values, link: LinkSpec):
         raise ValueError("p_values must be sorted ascending")
     rows = []
     for p in p_values:
-        mags = _magnitudes(family, p)
-        values = np.broadcast_to(mags, (n_dims, n_dims, p)).copy()
-        t = ParamTensor(values)
-        inner = _inner_decay_norm(t.values)
-        m = mixing_norm(t, link)
+        t = ParamTensor(np.broadcast_to(_magnitudes(family, p), (n_dims, n_dims, p)))
         g = concentration_constant(t, link)
-        rows.append(
-            DecayRow(
-                p=int(p),
-                inner_norm=inner,
-                mixing_norm=m,
-                concentration=g,
-                diverged=math.isinf(g),
-            )
-        )
+        inner, m = _inner_decay_norm(t.values), mixing_norm(t, link)
+        rows.append(DecayRow(int(p), inner, m, concentration=g, diverged=math.isinf(g)))
     return rows

@@ -1,8 +1,11 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from mbp.link import LinkSpec
+from mbp.markov import mixing_coefficients
 from mbp.simulate import SamplePath
 from mbp.tensor import ParamTensor
 
@@ -44,3 +47,30 @@ def scaled_to_mixing(rng, n_dims, n_lags, link, target) -> ParamTensor:
     values = rng.standard_normal((n_dims, n_dims, n_lags))
     base = ParamTensor(values)
     return ParamTensor(values * (target / mixing_norm(base, link)))
+
+
+def mixing_row_sum_exact(theta, link, n) -> float:
+    """max_k sum_{l >= k} eta_{k l}, the row-sum norm of the mixing matrix."""
+    eta = mixing_coefficients(theta, link, n)
+    return float(np.triu(eta).sum(axis=1).max())
+
+
+def kl_bernoulli(p_: float, q_: float) -> float:
+    """Exact KL divergence between Ber(p_) and Ber(q_)."""
+    if not (0.0 < p_ < 1.0 and 0.0 < q_ < 1.0):
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    return p_ * math.log(p_ / q_) + (1.0 - p_) * math.log((1.0 - p_) / (1.0 - q_))
+
+
+def kl_bernoulli_bound(p_: float, q_: float, eps: float) -> float:
+    """Quadratic upper bound 3 (p - q)^2 / (4 eps (1 - eps)).
+
+    Valid whenever both probabilities lie in [eps, 1 - eps]; arguments
+    outside that band are rejected.
+    """
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    slack = 1e-12  # tolerate grid roundoff at the band edges
+    if not (eps - slack <= p_ <= 1.0 - eps + slack and eps - slack <= q_ <= 1.0 - eps + slack):
+        raise ValueError("probabilities must lie in [eps, 1 - eps]")
+    return 3.0 / (4.0 * eps * (1.0 - eps)) * (p_ - q_) ** 2

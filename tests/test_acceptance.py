@@ -13,7 +13,13 @@ import time
 import numpy as np
 from scipy.stats import spearmanr
 
-from helpers import clamp_free_tensor, scaled_to_mixing
+from helpers import (
+    clamp_free_tensor,
+    kl_bernoulli,
+    kl_bernoulli_bound,
+    mixing_row_sum_exact,
+    scaled_to_mixing,
+)
 
 from mbp.config import ExperimentConfig
 from mbp.estimator import FitConfig, fit, kkt_residual
@@ -30,10 +36,7 @@ from mbp.link import sigmoid_link
 from mbp.markov import (
     check_mixing_coefficient_bound,
     contraction_check,
-    kl_bernoulli,
-    kl_bernoulli_bound,
     kl_chain_decomposition,
-    mixing_row_sum_exact,
     mixing_sum_bound,
 )
 from mbp.simulate import design_matrix, random_sparse_theta, simulate

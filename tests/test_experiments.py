@@ -1,17 +1,24 @@
 """Experiment sweeps: determinism, summaries, seed sharing and diagnostics."""
 
 import csv
+import dataclasses
+import inspect
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from helpers import TINY_CHECKS
 
-from mbp.config import ConfigError, ExperimentConfig
+from mbp import experiments
+from mbp.config import KEYS, ConfigError, ExperimentConfig
 from mbp.estimator import lambda_policy
 from mbp.experiments import RECORD_COLUMNS, run_experiment
+from mbp.simulate import random_sparse_theta
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def make_config(tmp_path, name, **overrides):
@@ -332,3 +339,81 @@ class TestDiagnoseDispatch:
         out, summary, _ = run_experiment(cfg)
         assert len(read_rows(out)) == 5
         assert "rate" in read_rows(summary)[0]
+
+
+class _Stop(Exception):
+    """Raised by a stubbed heavy call once a check has read its settings."""
+
+
+class _RecordingSpec(dict):
+    """A diagnose dict that records the default of every key read with get."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.defaults = {}
+
+    def get(self, key, default=None):
+        self.defaults[key] = default
+        return super().get(key, default)
+
+
+def readme_rows(key_prefix):
+    """Cells of the README table rows whose key cell starts with key_prefix."""
+    with open(README, encoding="utf-8") as fh:
+        return [
+            [cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in fh
+            if line.startswith(f"| `{key_prefix}")
+        ]
+
+
+class TestReadmeDefaults:
+    # diagnose keys whose README default names another setting, not a value
+    SYMBOLIC = {"check", "seed", "theta", "s", "theta_seed"}
+
+    def applied_diagnose_defaults(self, monkeypatch, tmp_path):
+        """{(check, key): default} the checks pass to ``get``, heavy calls stubbed."""
+
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        for name in ("contraction_check", "kl_chain_decomposition", "psd_estimate",
+                     "decay_scaling_report", "grad_bound_trial", "concentration_trial",
+                     "rsc_probe"):
+            monkeypatch.setattr(experiments, name, stop)
+        monkeypatch.setattr(experiments, "simulate", lambda *args, **kwargs: None)
+        config = ExperimentConfig.from_mapping(
+            {"experiment": "diagnose", "N": "2", "p": "1", "output_dir": str(tmp_path)}
+        )
+        applied = {}
+        # the exponential family is the only reader of diagnose.beta
+        runs = [(check, {}) for check in experiments._CHECKS]
+        for check, spec in runs + [("decay-table", {"family": "exponential"})]:
+            spec = _RecordingSpec(spec)
+            with pytest.raises(_Stop):
+                experiments._CHECKS[check](dataclasses.replace(config, diagnose=spec))
+            applied.update({(check, key): value for key, value in spec.defaults.items()})
+        return {k: v for k, v in applied.items() if k[1] not in self.SYMBOLIC}
+
+    def test_diagnose_table_matches_check_defaults(self, monkeypatch, tmp_path):
+        documented = {}
+        for key_cell, default_cell, read_by in readme_rows("diagnose."):
+            keys = re.findall(r"`diagnose\.(\w+)`", key_cell)
+            if set(keys) <= self.SYMBOLIC:
+                continue
+            checks = [c for c in re.findall(r"`([a-z-]+)`", read_by) if c in experiments._CHECKS]
+            cells = default_cell.split(", ") if len(keys) > 1 else [default_cell]
+            for key, cell in zip(keys, cells, strict=True):
+                values = cell.split(" / ") if " / " in cell else [cell] * len(checks)
+                parse = KEYS[f"diagnose.{key}"][1]
+                for check, value in zip(checks, values, strict=True):
+                    documented[check, key] = parse(value.strip("`"))
+        assert documented == self.applied_diagnose_defaults(monkeypatch, tmp_path)
+
+    def test_magnitude_row_matches_config_and_library(self):
+        ((_, cell, _),) = readme_rows("theta.magnitude_low/high")
+        documented = tuple(float(x) for x in cell.split(" / "))
+        fields = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        assert documented == (fields["magnitude_low"], fields["magnitude_high"])
+        params = inspect.signature(random_sparse_theta).parameters
+        assert documented == (params["magnitude_low"].default, params["magnitude_high"].default)

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import scaled_to_mixing
+from helpers import (
+    kl_bernoulli,
+    kl_bernoulli_bound,
+    mixing_row_sum_exact,
+    scaled_to_mixing,
+)
 
 from mbp.link import sigmoid_link
 from mbp.markov import (
@@ -16,11 +21,8 @@ from mbp.markov import (
     check_mixing_coefficient_bound,
     contraction_check,
     dobrushin_coefficient,
-    kl_bernoulli,
-    kl_bernoulli_bound,
     kl_chain_decomposition,
     mixing_coefficients,
-    mixing_row_sum_exact,
     mixing_sum_bound,
     stationary_law,
 )

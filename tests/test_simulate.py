@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,15 +116,28 @@ class TestSimulate:
             simulate(theta, LINK, 10, seed=-5)
 
 
-def reference_chain(theta, link, n, burn_in, seed):
-    """Step-by-step chain on one replicate: x_t = [u_t < link.eval(W h_t)]."""
+def reference_chain(theta, link, n, burn_in, seed, uniforms=None, pin_every=0):
+    """Step-by-step chain on one replicate: x_t = [u_t < link.eval(W h_t)].
+
+    ``uniforms`` replaces the seed's (p + burn_in + n, N) draws. With
+    ``pin_every`` = m, at every m-th step the uniforms of the coordinates
+    whose probability the clip leaves alone are overwritten in place, before
+    the step draws: even coordinates get the probability itself (the draw is
+    0), odd ones the float just below it (the draw is 1).
+    """
     p = theta.n_lags
     u = np.random.default_rng(seed).random((p + burn_in + n, theta.n_rows))
+    u = u if uniforms is None else uniforms
     states = list((u[:p] < 0.5).astype(np.uint8))
     stacked = stack_tensor(theta)
     for t in range(p, u.shape[0]):
         window = np.concatenate(states[: -p - 1 : -1])  # most recent state first
-        states.append((u[t] < link.eval(stacked @ window)).astype(np.uint8))
+        prob = link.eval(stacked @ window)
+        if pin_every and t % pin_every == 0:
+            pin = (prob > link.eps) & (prob < 1.0 - link.eps)
+            pinned = np.where(np.arange(len(prob)) % 2, np.nextafter(prob, 0.0), prob)
+            u[t, pin] = pinned[pin]
+        states.append((u[t] < prob).astype(np.uint8))
     return np.array(states[burn_in:])
 
 
@@ -212,6 +226,102 @@ class TestTableChain:
         # any changed draw changes them
         path = simulate(theta, LINK, n, burn_in=burn_in, seed=seed)
         assert hashlib.sha256(path.data.tobytes()).hexdigest() == digest
+
+
+def pinned_run(theta, link, n, burn_in, seeds, pin_every):
+    """Kernel states and reference paths of replicates whose uniforms are
+    pinned to their steps' probabilities (see ``reference_chain``)."""
+    p = theta.n_lags
+    steps = p + burn_in + n
+    u = np.stack([np.random.default_rng(seed).random((steps, theta.n_rows)) for seed in seeds], 1)
+    refs = [
+        reference_chain(theta, link, n, burn_in, seed, uniforms=u[:, r], pin_every=pin_every)
+        for r, seed in enumerate(seeds)
+    ]
+    init_hist = (u[:p] < 0.5).astype(np.uint8)
+    states = _kernels.chain_steps(
+        init_hist.transpose(1, 0, 2), stack_tensor(theta), link.alpha, link.eps, u[p:]
+    )
+    paths = np.concatenate([init_hist, states])[burn_in:]
+    return [paths[:, r] for r in range(len(seeds))], refs
+
+
+class TestLoopChain:
+    """Several replicates, or N p > TABLE_MAX_BITS, run the step loop."""
+
+    @pytest.mark.parametrize(
+        "draw, digest",
+        [
+            # one replicate at sweep_p20 sizes: N = p = 20, 400-bit windows
+            (lambda: [simulate(random_sparse_theta(20, 20, 200, seed=5), LINK, 4490,
+                               burn_in=1000, seed=17)],
+             "9fdb599777f1232cd8468745af00e04c2d810f5f9f1b98d7d7b44a3be8392701"),
+            # 30 replicates in one batched chain at N = 5, p = 2
+            (lambda: simulate_batch(random_sparse_theta(5, 2, 20, seed=3), LINK, 5000,
+                                    TestSimulateBatch.SEEDS, burn_in=100),
+             "648a86d0a2576fe93baa74626aa89c4c43da7bc789f28f7cc0d01f4359afa0e0"),
+        ],
+        ids=["sweep_p20", "batch_n5_p2"],
+    )
+    def test_fixed_seed_fingerprint(self, draw, digest):
+        # digests of the paths the one-row sigmoid form draws at these seeds,
+        # step by step: any changed draw changes them
+        data = b"".join(path.data.tobytes() for path in draw())
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "replicates, n_lags, scale, alpha, eps, pin_every",
+        [
+            (1, 1, 0.8, 1.0, 0.05, 3),
+            (30, 1, 0.8, 1.0, 0.05, 3),
+            (1, 3, 0.8, 2.5, 1e-6, 3),
+            (30, 3, 0.8, 2.5, 1e-6, 3),
+            # scale 800: few predictors escape the clip, so every step is pinned
+            (30, 3, 800.0, 1.0, 0.05, 1),
+        ],
+    )
+    def test_draws_at_their_cuts_are_replayed(
+        self, monkeypatch, replicates, n_lags, scale, alpha, eps, pin_every
+    ):
+        # the pinned steps' predictors sit on their cuts, inside the windows
+        # of doubt; half of those draws are 1 only by the exact sigmoid
+        calls = []
+        exact_probs = _kernels._exact_probs
+        monkeypatch.setattr(
+            _kernels, "_exact_probs", lambda *args: calls.append(1) or exact_probs(*args)
+        )
+        rng = np.random.default_rng(n_lags)
+        theta = ParamTensor(scale * rng.standard_normal((12, 12, n_lags)))
+        link = sigmoid_link(alpha, eps)
+        seeds = TestSimulateBatch.SEEDS[:replicates]
+        paths, refs = pinned_run(theta, link, 200, 40, seeds, pin_every)
+        assert calls
+        for path, ref in zip(paths, refs):
+            assert np.array_equal(path, ref)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_of_any_size_give_the_same_paths(self, monkeypatch, block):
+        # blocks shorter than p run p steps; of 240 steps, blocks of 7 leave 2
+        monkeypatch.setattr(_kernels, "BLOCK_STEPS", block)
+        theta = random_sparse_theta(4, 3, 20, seed=6)
+        paths, refs = pinned_run(theta, LINK, 200, 40, TestSimulateBatch.SEEDS[:4], 5)
+        for path, ref in zip(paths, refs):
+            assert np.array_equal(path, ref)
+
+    def test_memory_beyond_uniforms_is_a_few_blocks(self):
+        # N = 100, 10^4 steps, one replicate: the uniforms take 8 MB and the
+        # states 1 MB; the loop adds a few arrays of one block, not of T steps
+        n_dims, n_steps = 100, 10_000
+        stacked = stack_tensor(random_sparse_theta(n_dims, 1, 300, seed=2))
+        uniforms = np.random.default_rng(0).random((n_steps, 1, n_dims))
+        init_hist = np.zeros((1, 1, n_dims), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            states = _kernels.chain_steps(init_hist, stacked, 1.0, 0.05, uniforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= states.nbytes + 16 * 8 * _kernels.BLOCK_DRAWS
 
 
 class TestDesignMatrix:
