@@ -64,9 +64,7 @@ from .markov import (
     mixing_sum_bound,
 )
 from .spectral import (
-    ConstantDecay,
-    ExponentialDecay,
-    PolynomialDecay,
+    DECAY_FAMILIES,
     SpectralReport,
     decay_scaling_report,
     psd_estimate,

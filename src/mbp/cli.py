@@ -1,11 +1,11 @@
-"""Command-line harness: simulate, fit, diagnose and experiment subcommands."""
+"""Command-line harness: simulate, fit and experiment (sweeps and diagnose configs)."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import DEFAULT_SIMULATION_C2, ConfigError, ExperimentConfig, load_config, resolve_c2
+from .config import DEFAULT_SIMULATION_C2, ConfigError, load_config, resolve_c2
 from .estimator import FitConfig, fit, lambda_policy
 from .experiments import run_experiment
 from .link import LinkSpec, sigmoid_link
@@ -61,21 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--out", required=True, help="output tensor file")
     _add_link_flags(fit_p)
 
-    diag = sub.add_parser(
-        "diagnose",
-        help="run one named diagnostic check; a diagnose config runs with 'mbp experiment'",
-    )
-    diag.add_argument("--check", help="check name (required)")
-    diag.add_argument("--theta", help="tensor file the check should use")
-    diag.add_argument("--out", help="output directory", default=ExperimentConfig.output_dir)
-    diag.add_argument("--n-dims", type=int, default=2)
-    diag.add_argument("--n-lags", type=int, default=1)
-    diag.add_argument("--samples", type=int)
-    diag.add_argument("--n", type=int)
-    diag.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
-    _add_link_flags(diag)
-
-    exp = sub.add_parser("experiment", help="run a config-driven sweep")
+    exp = sub.add_parser("experiment", help="run a config-driven sweep or diagnostic checks")
     exp.add_argument("--config", required=True, help="config file")
     return parser
 
@@ -119,44 +105,20 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _run(config: ExperimentConfig) -> int:
-    for f in run_experiment(config):
+def _cmd_experiment(args) -> int:
+    for f in run_experiment(load_config(args.config)):
         print(f"wrote {f}")
     return EXIT_OK
 
 
-def _cmd_diagnose(args) -> int:
-    if not args.check:
-        print("--check is required; run a diagnose config with 'mbp experiment --config'",
-              file=sys.stderr)
-        return EXIT_ERROR
-    given = {"theta": args.theta, "samples": args.samples, "n": args.n}
-    return _run(ExperimentConfig(
-        experiment="diagnose",
-        n_dims=args.n_dims,
-        n_lags=args.n_lags,
-        link=sigmoid_link(args.alpha, args.eps),
-        master_seed=args.seed,
-        output_dir=args.out,
-        diagnose={"check": args.check, **{k: v for k, v in given.items() if v is not None}},
-    ))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "fit": _cmd_fit, "experiment": _cmd_experiment}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        if args.command == "experiment":
-            return _run(load_config(args.config))
+        return commands[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

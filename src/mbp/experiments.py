@@ -12,6 +12,7 @@ means and standard deviations. Plotting is left to external tools.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 import time
@@ -29,13 +30,7 @@ from .markov import (
     mixing_coefficients,
 )
 from .simulate import random_sparse_theta, simulate
-from .spectral import (
-    ConstantDecay,
-    ExponentialDecay,
-    PolynomialDecay,
-    decay_scaling_report,
-    psd_estimate,
-)
+from .spectral import DECAY_FAMILIES, decay_scaling_report, psd_estimate
 from .tensor import ParamTensor, mixing_norm, read_tensor
 
 __all__ = ["RunRecord", "RECORD_COLUMNS", "run_experiment"]
@@ -304,31 +299,28 @@ def _psd(config):
     ]
 
 
-_DECAY_FAMILIES = {
-    "constant": lambda c, spec: ConstantDecay(c),
-    "polynomial": lambda c, spec: PolynomialDecay(c, spec.get("alpha", 2.0)),
-    "exponential": lambda c, spec: ExponentialDecay(c, spec.get("beta", 1.0)),
-}
-
-
 def _decay_table(config):
     spec = config.diagnose
-    family = _DECAY_FAMILIES[spec.get("family", "polynomial")](spec.get("c", 0.1), spec)
+    family = spec.get("family", "polynomial")
+    # the magnitude function's parameters after the lags, as diagnose.* keys
+    shape = list(inspect.signature(DECAY_FAMILIES[family]).parameters.values())[1:]
+    params = {q.name: spec.get(q.name, q.default) for q in shape}
     p_values = spec.get("p_values", (1, 2, 4, 8, 16, 32, 64, 128))
     rows = [
         [r.p, r.inner_norm, r.mixing_norm, r.concentration, r.diverged]
-        for r in decay_scaling_report(family, config.n_dims, p_values, config.link)
+        for r in decay_scaling_report(family, config.n_dims, p_values, config.link, **params)
     ]
     columns = ["p", "inner_norm", "mixing_norm", "concentration", "diverged"]
     return [_write(config, "diagnose_decay_table.csv", columns, rows)]
 
 
 def _trial_files(config, stem, report):
-    out = os.path.join(config.output_dir, f"diagnose_{stem}.csv")
-    report.write_csv(out)
-    summary = _write(config, f"diagnose_{stem}_summary.csv", ["rate", "bound_rate"],
-                     [[report.rate, report.bound_rate]])
-    return [out, summary]
+    rows = [(rep, format(stat, ".12g"), format(bound, ".12g"), violated)
+            for rep, stat, bound, violated in report.rows]
+    columns = ["replicate", "statistic", "bound", "violated"]
+    summary = [[report.rate, report.bound_rate]]
+    return [_write(config, f"diagnose_{stem}.csv", columns, rows),
+            _write(config, f"diagnose_{stem}_summary.csv", ["rate", "bound_rate"], summary)]
 
 
 def _grad_bound(config):
@@ -400,10 +392,10 @@ def _diagnose(config: ExperimentConfig):
                 f"known checks: {', '.join(sorted(_CHECKS))}"
             )
     family = config.diagnose.get("family")
-    if family is not None and family not in _DECAY_FAMILIES:
+    if family is not None and family not in DECAY_FAMILIES:
         raise ConfigError(
             f"key 'diagnose.family': unknown family {family!r}; "
-            f"known families: {', '.join(_DECAY_FAMILIES)}"
+            f"known families: {', '.join(DECAY_FAMILIES)}"
         )
     os.makedirs(config.output_dir, exist_ok=True)
     files, index = [], []

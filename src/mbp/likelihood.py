@@ -14,7 +14,6 @@ mean. The two tail trials simulate all their replicates in one batched chain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -158,13 +157,6 @@ class TrialReport:
     rows: tuple
     rate: float
     bound_rate: float
-
-    def write_csv(self, fname) -> None:
-        with open(fname, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "statistic", "bound", "violated"])
-            for rep, stat, bound, violated in self.rows:
-                writer.writerow([rep, format(stat, ".12g"), format(bound, ".12g"), int(violated)])
 
 
 def _spawn_seeds(seed: int, count: int):

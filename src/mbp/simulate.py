@@ -33,10 +33,10 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 # uniforms held at once by simulate_batch; more replicates run in several chunks.
-# The states, their recorded copy and the paths take one byte per draw each,
-# and the chain kernel adds a few arrays of one block: a full chunk peaks at
-# about 1.35 x this (42.5 MiB under tracemalloc at N = 10, 3001 steps, 139
-# replicates).
+# The kernel's states and the paths (one copy of the recorded rows) take one
+# byte per draw each, and the kernel's block arrays a few MiB: a full chunk
+# peaks at about 1.2 x this (38.6 MiB under tracemalloc at N = 10, 3001 steps,
+# 139 replicates; two chunks peak at 44.8 MiB).
 MAX_BATCH_BYTES = 1 << 25
 # magnitude range of the nonzeros of random_sparse_theta (theta.magnitude_low/high)
 MAGNITUDE_LOW, MAGNITUDE_HIGH = 0.3, 1.0
@@ -116,7 +116,7 @@ def simulate_batch(
     initial window, the rest drive the chain. So replicate r's path equals
     ``simulate(theta, link, n, burn_in, seeds[r])`` bit for bit (see
     ``_kernels.chain_steps``). Replicates run in chunks that hold at most
-    ``MAX_BATCH_BYTES`` of uniforms (the chunk's peak memory is about 1.35
+    ``MAX_BATCH_BYTES`` of uniforms (the chunk's peak memory is about 1.2
     times that).
     """
     if not theta.is_square:
@@ -144,10 +144,12 @@ def simulate_batch(
         states = _kernels.chain_steps(
             init_hist.transpose(1, 0, 2), stacked, link.alpha, link.eps, uniforms[p:]
         )
-        recorded = np.concatenate([init_hist, states], axis=0)[burn_in:]
-        paths += [
-            SamplePath(data=recorded[:, r], n_lags=p, seed=seed) for r, seed in enumerate(part)
-        ]
+        # the recorded rows, copied once into one contiguous path per replicate
+        recorded = np.empty((len(part), n + p, n_dims), dtype=np.uint8)
+        np.concatenate([init_hist[burn_in:], states[max(burn_in - p, 0) :]],
+                       out=recorded.swapaxes(0, 1))
+        paths += [SamplePath(data=recorded[r], n_lags=p, seed=seed) for r, seed in enumerate(part)]
+        del uniforms  # freed before the next chunk draws its own
     return paths
 
 

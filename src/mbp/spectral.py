@@ -26,9 +26,7 @@ from .tensor import (
 __all__ = [
     "SpectralReport",
     "psd_estimate",
-    "ConstantDecay",
-    "PolynomialDecay",
-    "ExponentialDecay",
+    "DECAY_FAMILIES",
     "DecayRow",
     "decay_scaling_report",
 ]
@@ -86,38 +84,13 @@ def psd_estimate(path: SamplePath, n_segments: int, freq_points: int = 256) -> S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantDecay:
-    """|theta_ijk| = c for every lag."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class PolynomialDecay:
-    """|theta_ijk| = c * k^(-alpha)."""
-
-    c: float
-    alpha: float
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """|theta_ijk| = c * exp(-beta * k)."""
-
-    c: float
-    beta: float
-
-
-def _magnitudes(family, p: int) -> np.ndarray:
-    lags = np.arange(1, p + 1, dtype=np.float64)
-    if isinstance(family, ConstantDecay):
-        return np.full(p, family.c)
-    if isinstance(family, PolynomialDecay):
-        return family.c * lags ** (-family.alpha)
-    if isinstance(family, ExponentialDecay):
-        return family.c * np.exp(-family.beta * lags)
-    raise ValueError(f"unknown decay family: {family!r}")
+# family name -> |theta_ijk| at the lags k = 1..p (a float array) given the
+# family's parameters; a parameter's default is its diagnose.* default
+DECAY_FAMILIES = {
+    "constant": lambda lags, c=0.1: np.full(len(lags), c),
+    "polynomial": lambda lags, c=0.1, alpha=2.0: c * lags ** (-alpha),
+    "exponential": lambda lags, c=0.1, beta=1.0: c * np.exp(-beta * lags),
+}
 
 
 @dataclass(frozen=True)
@@ -131,20 +104,25 @@ class DecayRow:
     diverged: bool
 
 
-def decay_scaling_report(family, n_dims: int, p_values, link: LinkSpec):
+def decay_scaling_report(family: str, n_dims: int, p_values, link: LinkSpec, **params):
     """Mixing-norm scaling across lag counts for a magnitude-decay family.
 
-    For each p a tensor with |entries| given exactly by the family is built;
-    the row reports the raw inner norm (no link prefactor), the mixing norm,
-    and the concentration constant (inf marked diverged when the mixing norm
-    reaches 1). ``p_values`` must be sorted ascending.
+    ``family`` names an entry of ``DECAY_FAMILIES`` and ``params`` are its
+    parameters. For each p a tensor with |entries| given exactly by the
+    family is built; the row reports the raw inner norm (no link prefactor),
+    the mixing norm, and the concentration constant (inf marked diverged
+    when the mixing norm reaches 1). ``p_values`` must be sorted ascending.
     """
+    if family not in DECAY_FAMILIES:
+        known = ", ".join(DECAY_FAMILIES)
+        raise ValueError(f"unknown decay family {family!r}; known families: {known}")
     p_values = list(p_values)
     if p_values != sorted(p_values):
         raise ValueError("p_values must be sorted ascending")
     rows = []
     for p in p_values:
-        t = ParamTensor(np.broadcast_to(_magnitudes(family, p), (n_dims, n_dims, p)))
+        mags = DECAY_FAMILIES[family](np.arange(1, p + 1, dtype=np.float64), **params)
+        t = ParamTensor(np.broadcast_to(mags, (n_dims, n_dims, p)))
         g = concentration_constant(t, link)
         inner, m = _inner_decay_norm(t.values), mixing_norm(t, link)
         rows.append(DecayRow(int(p), inner, m, concentration=g, diverged=math.isinf(g)))

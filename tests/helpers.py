@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import math
+import os
 
 import numpy as np
 
@@ -8,6 +9,8 @@ from mbp.link import LinkSpec
 from mbp.markov import mixing_coefficients
 from mbp.simulate import SamplePath
 from mbp.tensor import ParamTensor
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 # check -> (N, p, diagnose.* keys) small enough for every check to run in well
 # under a second; s = 0 keeps the concentration trial's mixing norm at 0

@@ -40,7 +40,7 @@ from mbp.markov import (
     mixing_sum_bound,
 )
 from mbp.simulate import design_matrix, random_sparse_theta, simulate
-from mbp.spectral import ConstantDecay, PolynomialDecay, decay_scaling_report, psd_estimate
+from mbp.spectral import decay_scaling_report, psd_estimate
 from mbp.tensor import ParamTensor, concentration_constant, stack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
@@ -332,9 +332,9 @@ def test_13_support_recovery_shape(tmp_path):
 
 def test_14_lag_decay_scaling():
     start = time.perf_counter()
-    poly = decay_scaling_report(PolynomialDecay(0.1, 2.0), 3, [16, 128], LINK)
+    poly = decay_scaling_report("polynomial", 3, [16, 128], LINK, c=0.1, alpha=2.0)
     variation = abs(poly[1].inner_norm - poly[0].inner_norm) / poly[0].inner_norm
-    const = decay_scaling_report(ConstantDecay(0.1), 3, [8, 16, 32, 64, 128], LINK)
+    const = decay_scaling_report("constant", 3, [8, 16, 32, 64, 128], LINK, c=0.1)
     slope = float(
         np.polyfit(
             [math.log(r.p) for r in const], [math.log(r.inner_norm) for r in const], 1

@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line interface."""
 
 import importlib
+import re
+import shlex
 
 import numpy as np
 import pytest
-from mbp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from helpers import README
+from mbp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser, main
 from mbp.config import ExperimentConfig
 from mbp.experiments import _effective_lambda
 from mbp.simulate import read_path
@@ -102,14 +105,14 @@ def test_fit_lambda_policy_default_c2_matches_config(tmp_path, capsys):
     assert np.count_nonzero(read_tensor(out).values) > 0
 
 
-def test_diagnose_direct_flags(tmp_path):
-    out_dir = tmp_path / "diag"
-    code = main(
-        ["diagnose", "--check", "gf-bound", "--n-dims", "1", "--n-lags", "2",
-         "--samples", "4", "--out", str(out_dir)]
-    )
-    assert code == EXIT_OK
-    assert (out_dir / "diagnose_gf_bound.csv").exists()
+def test_diagnose_config_writes_to_default_out(tmp_path, monkeypatch):
+    # a check, the process sizes and one check setting; no output_dir key
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "gf.cfg"
+    cfg.write_text("experiment = diagnose\nN = 1\np = 2\ndiagnose.check = gf-bound\n"
+                   "diagnose.samples = 4\n")
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+    assert len((tmp_path / "out" / "diagnose_gf_bound.csv").read_text().splitlines()) == 5
 
 
 def test_experiment_config_file(tmp_path):
@@ -143,8 +146,11 @@ def test_bad_config_reports_error(tmp_path):
     assert main(["experiment", "--config", str(cfg)]) == EXIT_ERROR
 
 
-def test_diagnose_without_check_or_config():
-    assert main(["diagnose"]) == EXIT_ERROR
+def test_diagnose_subcommand_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["diagnose"])
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "diagnose" in err
 
 
 def test_bad_random_spec(tmp_path):
@@ -152,3 +158,18 @@ def test_bad_random_spec(tmp_path):
         ["simulate", "--random", "3,2", "--n", "10", "--out", str(tmp_path / "x.txt")]
     )
     assert code == EXIT_ERROR
+
+
+def test_readme_command_lines_parse():
+    # every `mbp ...` line of the README's shell blocks names a subcommand and
+    # flags the parser knows, so the README cannot show a removed one
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("mbp ")]
+    assert len(lines) >= 4
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -10,15 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import TINY_CHECKS
+from helpers import README, TINY_CHECKS
 
 from mbp import experiments
 from mbp.config import KEYS, ConfigError, ExperimentConfig
 from mbp.estimator import lambda_policy
 from mbp.experiments import RECORD_COLUMNS, run_experiment
 from mbp.simulate import random_sparse_theta
-
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def make_config(tmp_path, name, **overrides):

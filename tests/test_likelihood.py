@@ -7,6 +7,8 @@ import pytest
 
 from helpers import clamp_free_tensor, path_from_rows, scaled_to_mixing
 
+from mbp.config import ExperimentConfig
+from mbp.experiments import run_experiment
 from mbp.likelihood import (
     EXACT_MEAN_MAX_BITS,
     concentration_trial,
@@ -229,11 +231,22 @@ class TestGradBoundTrial:
         se = math.sqrt(max(report.bound_rate * (1 - report.bound_rate), 0.25 / 40) / 40)
         assert report.rate <= report.bound_rate + 3.0 * se + 1e-12
 
+    @staticmethod
+    def trial_csv(tmp_path, **keys):
+        """The per-replicate CSV of a grad-bound diagnose config with these keys."""
+        config = ExperimentConfig.from_mapping({
+            "experiment": "diagnose", "diagnose.check": "grad-bound",
+            "output_dir": str(tmp_path), **keys,
+        })
+        run_experiment(config)
+        return tmp_path / "diagnose_grad_bound.csv"
+
     def test_csv_rows(self, tmp_path):
-        theta = ParamTensor.zeros(2, 2, 1)
-        report = grad_bound_trial(theta, LINK, n=100, c1=4.0, replicates=3, seed=3)
-        fname = tmp_path / "trial.csv"
-        report.write_csv(fname)
+        # the zero tensor at N = 2, p = 1
+        fname = self.trial_csv(tmp_path, N="2", p="1", **{
+            "diagnose.s": "0", "diagnose.n": "100", "diagnose.c1": "4",
+            "diagnose.replicates": "3", "diagnose.seed": "3",
+        })
         lines = fname.read_text().splitlines()
         assert lines[0] == "replicate,statistic,bound,violated"
         assert len(lines) == 4
@@ -250,10 +263,12 @@ class TestGradBoundTrial:
             "4,0.055,1.20215884098,0\n"
             "5,0.0470279113598,1.20215884098,0\n"
         )
-        theta = random_sparse_theta(3, 2, 6, seed=4)
-        report = grad_bound_trial(theta, LINK, n=200, c1=4.0, replicates=6, seed=21, burn_in=100)
-        fname = tmp_path / "trial.csv"
-        report.write_csv(fname)
+        # the truth is random_sparse_theta(3, 2, 6, seed=4)
+        fname = self.trial_csv(tmp_path, N="3", p="2", **{
+            "diagnose.s": "6", "diagnose.theta_seed": "4", "diagnose.n": "200",
+            "diagnose.c1": "4", "diagnose.replicates": "6", "diagnose.seed": "21",
+            "sim.burn_in": "100",
+        })
         assert fname.read_bytes() == expected.encode("ascii")
 
 

@@ -47,6 +47,13 @@ for check, (n_dims, n_lags, extra) in TINY_CHECKS.items():
         "master_seed": "5", "diagnose.check": check,
         **{f"diagnose.{k}": str(v) for k, v in extra.items()},
     }
+# "decay-table" runs the default polynomial family; the other two families run
+# at non-default parameters
+for family, params in {"constant": {"c": 0.06}, "exponential": {"c": 0.3, "beta": 0.7}}.items():
+    CASES[f"decay-table-{family}"] = {
+        **CASES["decay-table"], "N": "2", "diagnose.family": family,
+        "diagnose.p_values": "1,2,4,8", **{f"diagnose.{k}": str(v) for k, v in params.items()},
+    }
 
 # case -> {file name: sha256 of its CSV with wall_seconds blanked}
 DIGESTS = {
@@ -61,6 +68,18 @@ DIGESTS = {
     "decay-table": {
         "diagnose_decay_table.csv":
             "3d0bbcc690a52893fcfdeb80f2a5fd8b4037e4514d6936c000e21e9dd3ff2ed1",
+        "diagnose_index.csv":
+            "35be29202be6b9fadb836b06218dc6e895e9676d8b8329d8d0389a7afa2a55a8",
+    },
+    "decay-table-constant": {
+        "diagnose_decay_table.csv":
+            "f20e2765548cd999c0e191bb73a43b8967272dd04af4f0144e25e8a7bfbb810c",
+        "diagnose_index.csv":
+            "35be29202be6b9fadb836b06218dc6e895e9676d8b8329d8d0389a7afa2a55a8",
+    },
+    "decay-table-exponential": {
+        "diagnose_decay_table.csv":
+            "1f8da9919d47845e983aac83f24d5d9b34de2b9b2fcb8ff4109e850f0b69737c",
         "diagnose_index.csv":
             "35be29202be6b9fadb836b06218dc6e895e9676d8b8329d8d0389a7afa2a55a8",
     },

@@ -179,6 +179,14 @@ class TestSimulateBatch:
         for path, seed in zip(paths, seeds):
             assert np.array_equal(path.data, simulate(theta, LINK, 50, burn_in=10, seed=seed).data)
 
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, 3])
+    def test_burn_in_up_to_p_keeps_the_start_window_rows(self, burn_in):
+        # with burn_in < p the recorded history begins inside the start window
+        theta = random_sparse_theta(3, 3, 8, seed=2)
+        paths = simulate_batch(theta, LINK, 30, self.SEEDS[:4], burn_in=burn_in)
+        for path, seed in zip(paths, self.SEEDS):
+            assert np.array_equal(path.data, reference_chain(theta, LINK, 30, burn_in, seed))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             simulate_batch(ParamTensor.zeros(2, 2, 1), LINK, 10, [1, -1])
@@ -322,6 +330,33 @@ class TestLoopChain:
         finally:
             tracemalloc.stop()
         assert peak <= states.nbytes + 16 * 8 * _kernels.BLOCK_DRAWS
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_batch_memory_is_one_chunk_and_the_paths(self, monkeypatch, chunks):
+        # 80 replicates at N = 10: the uniforms take 14 MB, the states 1.8 MB
+        # and the paths 1.6 MB. A copy of the whole chain made on the way to
+        # the paths would add 1.8 MB; a chunk's uniforms kept while the next
+        # chunk draws would add 7 MB
+        monkeypatch.setattr(_kernels, "BLOCK_DRAWS", 1 << 12)
+        theta = random_sparse_theta(10, 2, 30, seed=8)
+        n, burn_in, seeds = 2000, 200, range(80)
+        steps = theta.n_lags + burn_in + n
+        chunk_draws = steps * len(seeds) * theta.n_rows // chunks
+        module = importlib.import_module("mbp.simulate")  # mbp.simulate is the function
+        monkeypatch.setattr(module, "MAX_BATCH_BYTES", 8 * chunk_draws)
+        tracemalloc.start()
+        try:
+            paths = simulate_batch(theta, LINK, n, seeds, burn_in=burn_in)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chunk's uniforms (8 bytes a draw), one replicate's draws while they
+        # are filled in, the states of this chunk and the one before, all the
+        # paths and the kernel's blocks
+        fill = 8 * steps * theta.n_rows
+        paths_bytes = sum(path.data.nbytes for path in paths)
+        blocks = 16 * 8 * _kernels.BLOCK_DRAWS
+        assert peak <= (8 + chunks) * chunk_draws + fill + paths_bytes + blocks
 
 
 class TestDesignMatrix:

@@ -9,13 +9,7 @@ from helpers import scaled_to_mixing
 
 from mbp.link import sigmoid_link
 from mbp.simulate import simulate
-from mbp.spectral import (
-    ConstantDecay,
-    ExponentialDecay,
-    PolynomialDecay,
-    decay_scaling_report,
-    psd_estimate,
-)
+from mbp.spectral import DECAY_FAMILIES, decay_scaling_report, psd_estimate
 from mbp.tensor import ParamTensor
 
 LINK = sigmoid_link(1.0, 0.05)
@@ -56,27 +50,27 @@ class TestPsdEstimate:
 
 class TestDecayScaling:
     def test_polynomial_inner_norm_plateaus(self):
-        rows = decay_scaling_report(PolynomialDecay(0.1, 2.0), 3, [16, 128], LINK)
+        rows = decay_scaling_report("polynomial", 3, [16, 128], LINK, c=0.1, alpha=2.0)
         assert abs(rows[1].inner_norm - rows[0].inner_norm) / rows[0].inner_norm < 0.10
 
     def test_constant_family_slope(self):
-        rows = decay_scaling_report(ConstantDecay(0.1), 3, [8, 16, 32, 64, 128], LINK)
+        rows = decay_scaling_report("constant", 3, [8, 16, 32, 64, 128], LINK, c=0.1)
         xs = [math.log(r.p) for r in rows]
         ys = [math.log(r.inner_norm) for r in rows]
         slope = float(np.polyfit(xs, ys, 1)[0])
         assert slope == pytest.approx(1.5, abs=0.1)
 
     def test_exponential_plateaus(self):
-        rows = decay_scaling_report(ExponentialDecay(0.1, 1.0), 3, [16, 128], LINK)
+        rows = decay_scaling_report("exponential", 3, [16, 128], LINK, c=0.1, beta=1.0)
         assert abs(rows[1].inner_norm - rows[0].inner_norm) / rows[0].inner_norm < 0.10
 
     def test_divergence_flagged(self):
-        rows = decay_scaling_report(ConstantDecay(1.0), 3, [1, 64], LINK)
+        rows = decay_scaling_report("constant", 3, [1, 64], LINK, c=1.0)
         assert rows[-1].diverged
         assert math.isinf(rows[-1].concentration)
 
     def test_magnitudes_match_family_exactly(self):
-        rows = decay_scaling_report(PolynomialDecay(0.5, 2.0), 1, [4], LINK)
+        rows = decay_scaling_report("polynomial", 1, [4], LINK, c=0.5, alpha=2.0)
         # inner norm computed directly from the magnitude sequence
         mags = 0.5 * np.arange(1, 5, dtype=float) ** -2.0
         suffix = np.cumsum(mags[::-1])[::-1]
@@ -84,4 +78,10 @@ class TestDecayScaling:
 
     def test_unsorted_p_values_rejected(self):
         with pytest.raises(ValueError):
-            decay_scaling_report(ConstantDecay(0.1), 2, [8, 4], LINK)
+            decay_scaling_report("constant", 2, [8, 4], LINK, c=0.1)
+
+    def test_unknown_family_rejected_with_known_names(self):
+        with pytest.raises(ValueError, match="'bogus'") as err:
+            decay_scaling_report("bogus", 2, [4], LINK, c=0.1)
+        assert all(name in str(err.value) for name in DECAY_FAMILIES)
+        assert set(DECAY_FAMILIES) == {"constant", "polynomial", "exponential"}
