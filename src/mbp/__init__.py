@@ -56,12 +56,10 @@ from .markov import (
     KlDecomposition,
     ResourceLimitError,
     build_kernel,
-    check_mixing_coefficient_bound,
     contraction_check,
     dobrushin_coefficient,
     kl_chain_decomposition,
     mixing_coefficients,
-    mixing_sum_bound,
 )
 from .spectral import (
     DECAY_FAMILIES,

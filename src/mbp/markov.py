@@ -9,7 +9,9 @@ relies on.
 
 Everything here reads one table, the draw probabilities of each of the
 2^(N p) lag windows (``_window_probs``). The kernel scatters its block
-probabilities into rows; the mixing coefficients and the KL chain rule
+probabilities into rows. The p-step kernel is not a matrix power: at most
+one path of p steps joins two windows, so it is the product of the table
+entries along that path. The mixing coefficients and the KL chain rule
 enumerate paths from all start windows at once, as arrays indexed by
 (start, path), so no Python loop runs over start states or state pairs.
 
@@ -37,10 +39,8 @@ __all__ = [
     "ContractionCheck",
     "contraction_check",
     "mixing_coefficients",
-    "check_mixing_coefficient_bound",
     "mixing_coefficient_bound",
     "mixing_bound_rows",
-    "mixing_sum_bound",
     "KlDecomposition",
     "kl_chain_decomposition",
 ]
@@ -89,20 +89,54 @@ def _window_probs(theta: ParamTensor, link: LinkSpec) -> tuple[np.ndarray, np.nd
 
     Returns ``P``, shape (S, N), with P[s, i] the probability that coordinate
     i of the next state is 1 after window s, and ``Q``, shape (S, 2^N), with
-    Q[s, b] the probability that the next state is block b, multiplied out
-    over i in index order. Q[s, b] is the kernel entry from s to
-    ``((s & keep) << N) | b``.
+    Q[s, b] the probability that the next state is block b. Q is filled in
+    place by doubling: bit i writes columns [0, 2^i) times P[:, i] into
+    [2^i, 2^(i+1)), then scales [0, 2^i) by 1 - P[:, i], so each entry
+    multiplies its N factors in index order. Q[s, b] is the kernel entry
+    from s to ``((s & keep) << N) | b``.
     """
     n_dims = theta.n_rows
     n_bits = n_dims * theta.n_lags
     probs_one = np.asarray(link.eval(_state_bit_matrix(n_bits) @ stack_tensor(theta).T))
-    block_probs = np.empty((1 << n_bits, 1 << n_dims))
-    for block in range(1 << n_dims):
-        prob = np.ones(1 << n_bits)
-        for i in range(n_dims):
-            prob = prob * (probs_one[:, i] if (block >> i) & 1 else 1.0 - probs_one[:, i])
-        block_probs[:, block] = prob
+    block_probs = np.ones((1 << n_bits, 1 << n_dims))
+    for i in range(n_dims):
+        low, high = block_probs[:, : 1 << i], block_probs[:, 1 << i : 2 << i]
+        np.multiply(low, probs_one[:, i : i + 1], out=high)
+        low *= 1.0 - probs_one[:, i : i + 1]
     return probs_one, block_probs
+
+
+def _extend_paths(law: np.ndarray, block_probs: np.ndarray) -> np.ndarray:
+    """Path weights one step longer, from the (S, 2^(N k)) weights ``law``: start
+    z = hi << N (p-k) | u reads window u << N k | c after new blocks c, whatever
+    hi is, so this is one broadcast product of ``law`` with ``_window_probs``'s
+    Q reshaped to (u, c, b), written to a new array; block b takes the low bits."""
+    n_states, block = block_probs.shape
+    n_paths = law.shape[1]
+    n_kept = n_states // n_paths
+    new = np.empty((n_states, n_paths * block))
+    np.multiply(law.reshape(n_paths, n_kept, n_paths, 1),
+                block_probs.reshape(n_kept, n_paths, block),
+                out=new.reshape(n_paths, n_kept, n_paths, block))
+    return new
+
+
+def _p_step_kernel(block_probs: np.ndarray, n_lags: int) -> np.ndarray:
+    """P^p in state order, by path products: at most one path of p steps joins
+    two windows, and its entry multiplies the one-step probabilities along it
+    left to right, as ``np.linalg.matrix_power`` does for p <= 3 (for larger
+    p it pairs them otherwise, and may differ in the last few bits)."""
+    law = np.ones((block_probs.shape[0], 1))
+    for _ in range(n_lags):
+        law = _extend_paths(law, block_probs)
+    return law
+
+
+def _check_kernel_size(theta: ParamTensor, cap: int = MAX_KERNEL_BITS) -> None:
+    if not theta.is_square:
+        raise ValueError("process tensor must be square")
+    if theta.n_rows * theta.n_lags > cap:
+        raise ResourceLimitError(f"{theta.n_rows * theta.n_lags} state bits exceed the cap {cap}")
 
 
 def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
@@ -112,23 +146,16 @@ def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
     entries: the new state keeps the previous blocks shifted one lag back,
     so transitions violating the shift constraint have probability zero.
     """
-    if not theta.is_square:
-        raise ValueError("process tensor must be square")
-    n_dims, p = theta.n_rows, theta.n_lags
-    n_bits = n_dims * p
-    if n_bits > MAX_KERNEL_BITS:
-        raise ResourceLimitError(
-            f"state space needs {n_bits} bits, cap is {MAX_KERNEL_BITS}"
-        )
-    n_states = 1 << n_bits
-    _, block_probs = _window_probs(theta, link)
+    _check_kernel_size(theta)
+    block_probs = _window_probs(theta, link)[1]
+    n_states = block_probs.shape[0]
+    n_kept = n_states // block_probs.shape[1]
     # row s is nonzero only in the 2^N columns of the window that keeps s's
     # newest p - 1 blocks, shifted one lag back
     kernel = np.zeros((n_states, n_states))
     rows = np.arange(n_states)
-    keep_mask = (n_states >> n_dims) - 1
-    kernel.reshape(n_states, n_states >> n_dims, -1)[rows, rows & keep_mask] = block_probs
-    return KernelMatrix(probs=kernel, n_dims=n_dims, n_lags=p)
+    kernel.reshape(n_states, n_kept, -1)[rows, rows % n_kept] = block_probs
+    return KernelMatrix(probs=kernel, n_dims=theta.n_rows, n_lags=theta.n_lags)
 
 
 def stationary_law(kernel: KernelMatrix) -> np.ndarray:
@@ -206,12 +233,11 @@ class ContractionCheck:
 def contraction_check(theta: ParamTensor, link: LinkSpec) -> ContractionCheck:
     """Verify that the p-step chain contracts at least as fast as the mixing norm.
 
-    Builds the block kernel exactly, raises it to the p-th power, and checks
-    tau1 <= mixing_norm(theta) + 1e-10.
+    Builds the p-step kernel exactly by path products (``_p_step_kernel``),
+    without the one-step kernel, and checks tau1 <= mixing_norm(theta) + 1e-10.
     """
-    kernel = build_kernel(theta, link)
-    p_step = np.linalg.matrix_power(kernel.probs, theta.n_lags)
-    tau1 = dobrushin_coefficient(p_step)
+    _check_kernel_size(theta)
+    tau1 = dobrushin_coefficient(_p_step_kernel(_window_probs(theta, link)[1], theta.n_lags))
     m = mixing_norm(theta, link)
     return ContractionCheck(tau1_p_step=tau1, mixing_norm_value=m, holds=tau1 <= m + 1e-10)
 
@@ -289,22 +315,6 @@ def mixing_bound_rows(eta, tau: float, p: int):
             yield k, l, float(eta[k - 1, l - 1]), bound, eta[k - 1, l - 1] <= bound + 1e-10
 
 
-def check_mixing_coefficient_bound(theta: ParamTensor, link: LinkSpec, n: int) -> bool:
-    """Exact check of eta_{k l} <= mixing_coefficient_bound for all pairs k <= l <= n."""
-    tau = contraction_check(theta, link).tau1_p_step
-    rows = mixing_bound_rows(mixing_coefficients(theta, link, n), tau, theta.n_lags)
-    return all(holds for *_, holds in rows)
-
-
-def mixing_sum_bound(tau: float, p: int) -> float:
-    """2 + 2 p^2 / (1/tau - 1)^2, valid bound on the squared row sum for tau < 1."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must lie in [0, 1), got {tau}")
-    if tau == 0.0:
-        return 2.0
-    return 2.0 + 2.0 * p * p / (1.0 / tau - 1.0) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Kullback-Leibler chain rule
 # ---------------------------------------------------------------------------
@@ -326,12 +336,11 @@ class KlDecomposition:
 def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecomposition:
     """KL between p-block laws started from every pair of histories, both ways.
 
-    ``lhs[z, y]`` is the exact divergence between the two next-block laws
-    (rows z and y of the p-step kernel, built once), summed over one row
-    exactly as for a single pair. ``rhs[z, y]`` accumulates, step by step,
+    ``lhs[z, y]`` is the exact divergence between the next-block laws from z
+    and y, rows of the p-step kernel (``_p_step_kernel``), summed over one
+    row exactly as for a single pair. ``rhs[z, y]`` accumulates, step by step,
     the expected one-step divergences along hybrid histories whose sampled
-    part follows the law started from z. The two agree to 1e-10 for every
-    p-Markov chain.
+    part follows the law from z; the two agree to 1e-10 for any p-Markov chain.
 
     ``rhs`` is enumerated for all starts at once from one (S, S) table of
     one-step divergences between windows (entropy minus cross-entropy,
@@ -342,35 +351,28 @@ def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecompositio
     sums in another order than a pair-by-pair recursion and may differ from
     it in the last bits (1e-15 on small chains).
     """
-    n_dims, p = theta.n_rows, theta.n_lags
-    if n_dims * p > MAX_KL_BITS:
-        raise ResourceLimitError(
-            f"block enumeration needs {n_dims * p} bits, cap is {MAX_KL_BITS}"
-        )
-    p_step = np.linalg.matrix_power(build_kernel(theta, link).probs, p)
+    _check_kernel_size(theta, MAX_KL_BITS)
     probs_one, block_probs = _window_probs(theta, link)
+    p_step = _p_step_kernel(block_probs, theta.n_lags)
     n_states = block_probs.shape[0]
-
     lhs = np.empty((n_states, n_states))
     # start rows per pass, so that a pass's (rows, S, S) temporaries stay near 8 MB
     per_pass = max(1, (1 << 20) // (n_states * n_states))
     for z in range(0, n_states, per_pass):
         rows = p_step[z : z + per_pass, None, :]
         lhs[z : z + per_pass] = (rows * np.log(rows / p_step)).sum(axis=2)
-
     log_one, log_zero = np.log(probs_one), np.log(1.0 - probs_one)
     entropy = (probs_one * log_one + (1.0 - probs_one) * log_zero).sum(axis=1)
     kl = entropy[:, None] - (probs_one @ log_one.T + (1.0 - probs_one) @ log_zero.T)
     np.fill_diagonal(kl, 0.0)  # exact where the difference leaves rounding
     rhs = np.zeros((n_states, n_states))
     weight = np.ones((n_states, 1))  # [z, r]: probability of partial path r from z
-    for k in range(1, p + 1):
-        n_paths = 1 << (n_dims * (k - 1))
+    for _ in range(theta.n_lags):
+        n_paths = weight.shape[1]
         n_kept = n_states // n_paths
         # start z = hi * n_kept + u reads window u * n_paths + r after path r
         shared = np.einsum("urvr->urv", kl.reshape(n_kept, n_paths, n_kept, n_paths))
         per_start = weight.reshape(n_paths, n_kept, n_paths).transpose(1, 0, 2) @ shared
         rhs += np.tile(per_start.transpose(1, 0, 2).reshape(n_states, n_kept), n_paths)
-        windows = (np.arange(n_states) % n_kept)[:, None] * n_paths + np.arange(n_paths)
-        weight = (weight[:, :, None] * block_probs[windows]).reshape(n_states, -1)
+        weight = _extend_paths(weight, block_probs)
     return KlDecomposition(lhs=lhs, rhs=rhs, agree=np.abs(lhs - rhs) <= 1e-10)

@@ -14,10 +14,12 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from helpers import (
+    check_mixing_coefficient_bound,
     clamp_free_tensor,
     kl_bernoulli,
     kl_bernoulli_bound,
     mixing_row_sum_exact,
+    mixing_sum_bound,
     scaled_to_mixing,
 )
 
@@ -33,12 +35,7 @@ from mbp.likelihood import (
     taylor_remainder,
 )
 from mbp.link import sigmoid_link
-from mbp.markov import (
-    check_mixing_coefficient_bound,
-    contraction_check,
-    kl_chain_decomposition,
-    mixing_sum_bound,
-)
+from mbp.markov import contraction_check, kl_chain_decomposition
 from mbp.simulate import design_matrix, random_sparse_theta, simulate
 from mbp.spectral import decay_scaling_report, psd_estimate
 from mbp.tensor import ParamTensor, concentration_constant, stack_tensor

@@ -7,23 +7,29 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_mixing_coefficient_bound,
+    kernel_oracle,
     kl_bernoulli,
     kl_bernoulli_bound,
     mixing_row_sum_exact,
+    mixing_sum_bound,
+    p_step_by_paths,
+    p_step_oracle,
     scaled_to_mixing,
+    window_probs_oracle,
 )
 
 from mbp.link import sigmoid_link
 from mbp.markov import (
     DOBRUSHIN_PIVOTS,
     ResourceLimitError,
+    _p_step_kernel,
+    _window_probs,
     build_kernel,
-    check_mixing_coefficient_bound,
     contraction_check,
     dobrushin_coefficient,
     kl_chain_decomposition,
     mixing_coefficients,
-    mixing_sum_bound,
     stationary_law,
 )
 from mbp.tensor import ParamTensor, stack_tensor
@@ -66,6 +72,56 @@ class TestBuildKernel:
     def test_state_decoding(self):
         hist = state_to_history(0b0110, n_dims=2, n_lags=2)
         assert np.array_equal(hist, [[0, 1], [1, 0]])
+
+
+# (N, p) from one state bit up to the 1024 states of the diagnose workload
+TABLE_SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (5, 2), (3, 3), (10, 1), (1, 4), (2, 5), (1, 10)]
+# weight scales: predictors well inside the clamp-free band up to far past it
+TABLE_SCALES = [0.1, 1.0, 4.0]
+
+
+def p_step_kernel(theta):
+    """P^p as contraction_check and kl_chain_decomposition build it."""
+    return _p_step_kernel(_window_probs(theta, LINK)[1], theta.n_lags)
+
+
+def ulp_gap(a, b):
+    """Largest distance in units in the last place between two positive float arrays."""
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+
+
+@pytest.mark.parametrize("scale", TABLE_SCALES)
+@pytest.mark.parametrize("n_dims, n_lags", TABLE_SHAPES)
+class TestExactTables:
+    """The window table, the kernel and the p-step kernel against slow oracles."""
+
+    @pytest.fixture
+    def theta(self, n_dims, n_lags, scale):
+        rng = np.random.default_rng(100 * n_dims + n_lags)
+        return ParamTensor(scale * rng.standard_normal((n_dims, n_dims, n_lags)))
+
+    def test_window_table_equals_block_loop(self, theta, scale):
+        probs_one, block_probs = _window_probs(theta, LINK)
+        want_one, want_block = window_probs_oracle(theta, LINK)
+        assert np.array_equal(probs_one, want_one)
+        assert np.array_equal(block_probs, want_block)
+        if scale == TABLE_SCALES[-1]:
+            assert probs_one.min() == LINK.eps or probs_one.max() == 1.0 - LINK.eps
+
+    def test_kernel_equals_scatter(self, theta):
+        assert np.array_equal(build_kernel(theta, LINK).probs, kernel_oracle(theta, LINK))
+
+    def test_p_step_equals_path_products(self, theta):
+        assert np.array_equal(p_step_kernel(theta), p_step_by_paths(theta, LINK))
+
+    def test_p_step_equals_matrix_power(self, theta, n_lags):
+        # matrix_power pairs the factors left to right only for p <= 3
+        got, want = p_step_kernel(theta), p_step_oracle(theta, LINK)
+        assert got.shape == want.shape and (got > 0).all()
+        if n_lags <= 3:
+            assert np.array_equal(got, want)
+        else:
+            assert ulp_gap(got, want) <= 8
 
 
 def state_to_history(state, n_dims, n_lags):
@@ -132,7 +188,7 @@ def mixing_coefficients_oracle(theta, link, n):
 def kl_decomposition_oracle(theta, link):
     """(lhs, rhs) pair by pair; rhs by the chain-rule recursion over partial paths."""
     n_dims, p = theta.n_rows, theta.n_lags
-    p_step = np.linalg.matrix_power(build_kernel(theta, link).probs, p)
+    p_step = p_step_by_paths(theta, link)
     n_states = p_step.shape[0]
     stacked = stack_tensor(theta)
     hists = [state_to_history(s, n_dims, p).astype(np.float64) for s in range(n_states)]
@@ -212,7 +268,7 @@ def p_step_kernels(n_dims, n_lags, count, seed):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         theta = scaled_to_mixing(rng, n_dims, n_lags, LINK, rng.uniform(0.05, 0.95))
-        yield np.linalg.matrix_power(build_kernel(theta, LINK).probs, n_lags)
+        yield p_step_oracle(theta, LINK)
 
 
 def hadamard_halves(order):
