@@ -10,14 +10,16 @@ is reproducible given its seed.
 The chain kernel carries a replicate axis: R independent chains with the same
 tensor advance together, one (R, N p) @ (N p, N) product per time step, so a
 Monte-Carlo trial pays the per-step interpreter cost once instead of R times.
-No step takes a sigmoid: a draw u < sigmoid(alpha v) compares the predictor v
-with the top of a window [lo, hi] around logit(u) / alpha that covers every
-rounding of both forms. After each block of steps, the first step with a
-predictor inside its window is redrawn by the exact form on the replicate's
-one-row window and the block resumes after it, so every path is the exact
-form's path for any R. A single chain (R = 1) whose lag window has at most
-``TABLE_MAX_BITS`` bits runs from a table of the exact form's probabilities
-for each of its 2^(N p) windows, and each step only compares floats.
+Every draw is u < link.eval(v), the clamped link at the predictor v. No step
+takes a sigmoid: the draw compares v with the top of a window [lo, hi] around
+the cut logit(u) / alpha (-inf where u < eps, +inf where u >= 1 - eps) that
+covers every rounding of both forms. After each block of steps, the first step
+with a predictor inside its window is redrawn by the exact form on the
+replicate's one-row window and the block resumes after it, so every path is
+the exact form's path for any R. A single chain (R = 1) whose lag window has
+at most ``TABLE_MAX_BITS`` bits runs from a table of the exact form's
+probabilities for each of its 2^(N p) windows, and each step only compares
+floats.
 """
 
 from __future__ import annotations
@@ -42,19 +44,19 @@ BLOCK_DRAWS = 1 << 15
 _ROUNDING = 32 * np.finfo(np.float64).eps
 
 
-def chain_steps(init_hist, stacked, alpha, eps, uniforms):
+def chain_steps(init_hist, stacked, link, uniforms):
     """Advance R chains one Bernoulli draw per (step, replicate, coordinate).
 
     ``init_hist`` is the (R, p, N) binary start window of each replicate with
     the oldest state in row 0, ``stacked`` the (N, N p) stacked tensor shared
-    by all replicates, ``uniforms`` the (T, R, N) pre-drawn variates;
-    replicate r consumes ``uniforms[:, r]`` in (t, i) order. Each draw is
-    Ber(clip(sigmoid(alpha * W h_t), eps, 1 - eps)) with h_t the replicate's
+    by all replicates, ``link`` the ``LinkSpec``, ``uniforms`` the (T, R, N)
+    pre-drawn variates; replicate r consumes ``uniforms[:, r]`` in (t, i)
+    order. Each draw is Ber(link.eval(W h_t)) with h_t the replicate's
     flattened lag window [x^{t-1}; ...; x^{t-p}]. Returns (T, R, N) uint8
     states.
 
-    Every draw equals the exact form ``u < sigmoid(alpha * (h @ W'))`` on
-    the replicate's own fresh (1, N p) row h, so replicate r's path does not
+    Every draw equals the exact form ``u < link.eval(h @ W')`` on the
+    replicate's own fresh (1, N p) row h, so replicate r's path does not
     depend on R. A single chain with N p <= ``TABLE_MAX_BITS`` runs from a
     table of that form's probabilities per window (whatever T is), the rest
     run the step loop of ``_loop_chain``.
@@ -66,29 +68,21 @@ def chain_steps(init_hist, stacked, alpha, eps, uniforms):
     n_reps, p, n_dims = np.shape(init_hist)
     # lag windows ordered most recent block first, matching the stacked tensor
     h = np.asarray(init_hist)[:, ::-1].reshape(n_reps, p * n_dims).astype(np.float64)
-    alpha = float(alpha)
     if n_reps == 1 and p * n_dims <= TABLE_MAX_BITS:
-        return _table_chain(h, w_t, alpha, _thresholds(uniforms, eps))
-    return _loop_chain(h, w_t, alpha, eps, uniforms)
+        return _table_chain(h, w_t, link, uniforms)
+    return _loop_chain(h, w_t, link, uniforms)
 
 
-def _thresholds(uniforms, eps):
-    """u' with u < clip(z, eps, 1 - eps) equal to u' < z for z in [0, 1]: u' = -1
-    where u < eps (the draw is 1), 2 where u >= 1 - eps (it is 0), else u."""
-    thresholds = np.where(uniforms < 1.0 - eps, uniforms, 2.0)
-    thresholds[uniforms < eps] = -1.0
-    return thresholds
+def _exact_probs(h, w_t, link):
+    """The exact form's draw probabilities link.eval(h @ W') of a (1, N p) window."""
+    return link.eval(h @ w_t)[0]
 
 
-def _exact_probs(h, w_t, alpha):
-    """The exact form's draw probabilities sigmoid(alpha * (h @ W')) of a (1, N p) window."""
-    return sigmoid(alpha * (h @ w_t))[0]
-
-
-def _loop_chain(h, w_t, alpha, eps, uniforms):
+def _loop_chain(h, w_t, link, uniforms):
     """The step loop of ``chain_steps``, the same for every R.
 
-    The cut of a threshold u is logit(u) / alpha. A predictor above
+    The cut of a uniform u is logit(u) / alpha, -inf where u < eps (the
+    draw is 1) and +inf where u >= 1 - eps (it is 0). A predictor above
     hi = cut + half draws 1, one at or below lo = cut - half draws 0, and one
     in between is redrawn. Per coordinate, half covers the
     product: a sum over a 0/1 window is within K 2^-53 sum_k |W_ik| of exact
@@ -102,6 +96,7 @@ def _loop_chain(h, w_t, alpha, eps, uniforms):
     n_steps, n_reps, n_dims = uniforms.shape
     n_bits = w_t.shape[0]
     p = n_bits // n_dims
+    alpha, eps = float(link.alpha), link.eps
     width = max(p, min(BLOCK_STEPS, n_steps, BLOCK_DRAWS // (n_reps * n_dims)))
     slack = 2 * n_bits * np.finfo(np.float64).eps * np.abs(w_t).sum(axis=0)
     half = slack + _ROUNDING * (np.log((1 - eps) / eps) + 1 / (eps * (1 - eps))) / alpha
@@ -113,12 +108,15 @@ def _loop_chain(h, w_t, alpha, eps, uniforms):
     states = np.empty(uniforms.shape, dtype=np.uint8)
     matmul, less = np.matmul, np.less
     for t in range(0, n_steps, width):
-        thresholds = _thresholds(uniforms[t : t + width], eps)
-        q = thresholds.clip(0.0, 1.0)  # -1 and 2 give the cuts -inf and inf
+        # simulate_batch's uniforms are replicate-major: copy the block once so
+        # that the elementwise passes below run over contiguous memory
+        u = np.ascontiguousarray(uniforms[t : t + width])
         with np.errstate(divide="ignore"):
-            cut = np.log(q / (1.0 - q)) / alpha
+            cut = np.log(u / (1.0 - u)) / alpha
+        cut[u < eps] = -np.inf
+        cut[u >= 1.0 - eps] = np.inf
         lo, hi = cut - half, cut + half
-        b, k = len(thresholds), 0
+        b, k = len(u), 0
         while k < b:
             for window, v_k, hi_k, x in zip(windows[k:b], v[k:b], hi[k:b], draws[k:b]):
                 matmul(window, w_t, v_k)
@@ -129,8 +127,7 @@ def _loop_chain(h, w_t, alpha, eps, uniforms):
                 break
             k, first = k + int(flagged[0]), doubt[flagged[0]]
             for r in np.flatnonzero(first):
-                probs = _exact_probs(windows[k][r : r + 1].copy(), w_t, alpha)
-                draws[k][r] = thresholds[k, r] < probs
+                draws[k][r] = u[k, r] < _exact_probs(windows[k][r : r + 1].copy(), w_t, link)
             k += 1
         newest = (width - b) * n_dims  # where the block's last step wrote
         block = buf[:, newest : width * n_dims].reshape(n_reps, b, n_dims)
@@ -140,25 +137,26 @@ def _loop_chain(h, w_t, alpha, eps, uniforms):
     return states
 
 
-def _table_chain(h, w_t, alpha, thresholds):
+def _table_chain(h, w_t, link, uniforms):
     """The one chain of ``chain_steps`` run from a table of its window states.
 
     A window is kept as its state index, bit k holding entry k of h (the
     encoding of ``markov``): a step shifts the index up by N, drops the
     oldest block and puts the new state's bits at the bottom. The table is a
-    flat list, the thresholds are read through a memoryview and the states
-    written to a bytearray: the loop makes no numpy call, and it adds one
-    byte per draw to memory, not a Python float per threshold.
+    flat list of clamped probabilities, the caller's uniforms are read
+    through a memoryview and the states written to a bytearray: the loop
+    makes no numpy call, and it adds one byte per draw to memory, not a copy
+    of the uniforms.
     """
     n_bits, n_dims = w_t.shape
     window = np.empty((1, n_bits))
     table = []
     for bits in _state_bit_matrix(n_bits):
         window[0] = bits
-        table += _exact_probs(window, w_t, alpha).tolist()
+        table += _exact_probs(window, w_t, link).tolist()
     mask = (1 << n_bits) - 1
     state = sum(1 << k for k in np.flatnonzero(h[0]).tolist())
-    u = memoryview(thresholds.ravel())
+    u = memoryview(uniforms.ravel())
     states = bytearray(len(u))
     for t in range(0, len(u), n_dims):
         row, new = state * n_dims, 0
@@ -167,7 +165,7 @@ def _table_chain(h, w_t, alpha, thresholds):
                 states[t + i] = 1
                 new |= 1 << i
         state = ((state << n_dims) & mask) | new
-    return np.frombuffer(states, dtype=np.uint8).reshape(thresholds.shape)
+    return np.frombuffer(states, dtype=np.uint8).reshape(uniforms.shape)
 
 
 def bernoulli_loss_terms(pred, targets, alpha, want_residual=True):

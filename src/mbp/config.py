@@ -57,7 +57,6 @@ KEYS = {
     "sim.burn_in": ("burn_in", int),
     "fit.tol": ("fit_tol", float),
     "fit.max_iters": ("fit_max_iters", int),
-    "run.point_timeout_seconds": ("point_timeout", float),
     "master_seed": ("master_seed", int),
     "output_dir": ("output_dir", str),
     **{f"diagnose.{part}": ("diagnose", parse) for part, parse in {
@@ -134,7 +133,6 @@ class ExperimentConfig:
     burn_in: int = DEFAULT_BURN_IN
     fit_tol: float = 1e-6
     fit_max_iters: int = FitConfig.max_iters
-    point_timeout: float = 0.0
     master_seed: int = 0
     output_dir: str = "out"
     # diagnose.<key> values under <key>, parsed as KEYS says

@@ -38,7 +38,7 @@ __all__ = ["RunRecord", "RECORD_COLUMNS", "run_experiment"]
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (sweep point, replicate) outcome; a timed-out replicate keeps the defaults."""
+    """One (sweep point, replicate) outcome."""
 
     experiment: str
     replicate: int
@@ -47,13 +47,13 @@ class RunRecord:
     s: int
     n: int
     lam: float
-    frob_error: float = math.nan
-    frob_error_sq: float = math.nan
-    support_fraction: float = math.nan
-    iterations: int = 0
-    converged: bool = False
-    wall_seconds: float = math.nan
-    seed: int = 0
+    frob_error: float
+    frob_error_sq: float
+    support_fraction: float
+    iterations: int
+    converged: bool
+    wall_seconds: float
+    seed: int
 
     def row(self):
         return [_cell(v) for v in astuple(self)]
@@ -104,15 +104,9 @@ def _effective_lambda(config: ExperimentConfig, n: int) -> float:
     )
 
 
-def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int, skip: bool) -> RunRecord:
+def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int) -> RunRecord:
     theta_seed, path_seed = _point_seeds(config.master_seed, s, n, rep)
     lam = _effective_lambda(config, n)
-    point = dict(
-        experiment=config.experiment, replicate=rep, n_dims=config.n_dims,
-        n_lags=config.n_lags, s=s, n=n, lam=lam, seed=path_seed,
-    )
-    if skip:
-        return RunRecord(**point)
     start = time.perf_counter()
     theta_star = random_sparse_theta(
         config.n_dims, config.n_lags, s,
@@ -126,35 +120,26 @@ def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int, skip: boo
     )
     metrics = error_metrics(result.theta_hat, theta_star, s)
     return RunRecord(
-        **point,
+        experiment=config.experiment, replicate=rep, n_dims=config.n_dims,
+        n_lags=config.n_lags, s=s, n=n, lam=lam,
         frob_error=metrics.frob_error,
         frob_error_sq=metrics.frob_error_sq,
         support_fraction=metrics.support_fraction,
         iterations=result.iterations,
         converged=result.converged,
         wall_seconds=time.perf_counter() - start,
+        seed=path_seed,
     )
 
 
 def _sweep(config: ExperimentConfig):
-    """All replicates over s_values x n_values, s-major, in config order.
-
-    Once a point has used up ``point_timeout`` seconds, its remaining
-    replicates are skipped and recorded with the metric defaults; replicate
-    0 always runs, so every point has a result.
-    """
-    records = []
-    for s in config.s_values:
-        for n in config.n_values:
-            point_start = time.perf_counter()
-            for rep in range(config.replicates):
-                skip = (
-                    rep > 0
-                    and config.point_timeout > 0
-                    and time.perf_counter() - point_start > config.point_timeout
-                )
-                records.append(_run_replicate(config, s, n, rep, skip))
-    return records
+    """All replicates over s_values x n_values, s-major, in config order."""
+    return [
+        _run_replicate(config, s, n, rep)
+        for s in config.s_values
+        for n in config.n_values
+        for rep in range(config.replicates)
+    ]
 
 
 def _group(records, key):

@@ -51,6 +51,9 @@ __all__ = [
 # bits, and 2.4 s against 0.9 s at 12 bits. At 10 bits its largest array is
 # the size of the 1024-state kernel the gf-bound check already builds.
 EXACT_MEAN_MAX_BITS = 10
+# scalar terms (steps times N) of the reference chain that estimates the
+# long-run mean above EXACT_MEAN_MAX_BITS
+REFERENCE_TERMS = 10**6
 
 
 def _check_shapes(theta: ParamTensor, path: SamplePath) -> None:
@@ -253,15 +256,13 @@ def concentration_trial(
     replicates: int,
     seed: int,
     burn_in: int = DEFAULT_BURN_IN,
-    n_ref_terms: int = 10**6,
 ) -> TrialReport:
     """Tail rate of |quad_form - its long-run mean| over fresh simulations.
 
     When N p <= ``EXACT_MEAN_MAX_BITS`` (10) the long-run mean is exact
     (:func:`stationary_quad_form`); above it the exact mean costs more than
     the chain, so it is estimated once from a single held-out run with
-    ``n_ref_terms`` scalar terms, and only this fallback reads
-    ``n_ref_terms``. The replicates are simulated in one
+    ``REFERENCE_TERMS`` scalar terms. The replicates are simulated in one
     batched chain. Deviations are compared against t * ||delta||_{2,1,1}^2
     and the rate against 2 exp(-n t^2 / G) with G the concentration constant
     of ``theta_star``. Requires mixing norm below 1.
@@ -278,7 +279,7 @@ def concentration_trial(
     if theta_star.n_rows * theta_star.n_lags <= EXACT_MEAN_MAX_BITS:
         e_mean = stationary_quad_form(delta, theta_star, link)
     else:
-        n_ref = max(n, math.ceil(n_ref_terms / theta_star.n_rows))
+        n_ref = max(n, math.ceil(REFERENCE_TERMS / theta_star.n_rows))
         mega = simulate(theta_star, link, n_ref, burn_in=burn_in, seed=seeds[0])
         e_mean = quad_form(delta, mega, link)
     threshold = t * tensor_norm(delta, "211") ** 2

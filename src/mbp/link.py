@@ -61,7 +61,8 @@ class LinkSpec:
         Accepts scalars or arrays; returns the same shape.
         """
         z = sigmoid(self.alpha * np.asarray(u, dtype=np.float64))
-        return np.clip(z, self.eps, 1.0 - self.eps)
+        # the method: np.clip's dispatch outweighs the clip on one-row calls
+        return z.clip(self.eps, 1.0 - self.eps)
 
 
 def sigmoid(v):

@@ -107,17 +107,23 @@ def _window_probs(theta: ParamTensor, link: LinkSpec) -> tuple[np.ndarray, np.nd
 
 
 def _extend_paths(law: np.ndarray, block_probs: np.ndarray) -> np.ndarray:
-    """Path weights one step longer, from the (S, 2^(N k)) weights ``law``: start
-    z = hi << N (p-k) | u reads window u << N k | c after new blocks c, whatever
-    hi is, so this is one broadcast product of ``law`` with ``_window_probs``'s
-    Q reshaped to (u, c, b), written to a new array; block b takes the low bits."""
+    """Path weights one step longer, from the (S, 2^(N k)) weights ``law``.
+
+    Block b of the new step takes the low bits of the path index. A path of
+    k < p steps from start z = hi << N (p-k) | u reads window u << N k | c
+    after its blocks c, whatever hi is; a path of k >= p steps reads only
+    its last p blocks, the low N p bits of c. So with ``n_kept`` =
+    max(S / 2^(N k), 1) start values u and ``width`` = min(2^(N k), S) read
+    path values, this is one broadcast product of ``law`` with
+    ``_window_probs``'s Q reshaped to (u, c, b), written to a new array.
+    """
     n_states, block = block_probs.shape
     n_paths = law.shape[1]
-    n_kept = n_states // n_paths
+    n_kept, width = max(n_states // n_paths, 1), min(n_paths, n_states)
     new = np.empty((n_states, n_paths * block))
-    np.multiply(law.reshape(n_paths, n_kept, n_paths, 1),
-                block_probs.reshape(n_kept, n_paths, block),
-                out=new.reshape(n_paths, n_kept, n_paths, block))
+    np.multiply(law.reshape(-1, n_kept, n_paths // width, width, 1),
+                block_probs.reshape(n_kept, 1, width, block),
+                out=new.reshape(-1, n_kept, n_paths // width, width, block))
     return new
 
 
@@ -264,13 +270,14 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     started from. Entry [k-1, l-1] of the returned (n, n) array; zero below
     the diagonal, and eta[k, k] = 1 by the point-mass convention.
 
-    The path laws of all 2^(N p) starts are built together, one step at a
-    time from the block probabilities of ``_window_probs``: row z of the
-    (S, 2^(N n)) law holds the paths started from window z, step t in bits
-    [(t-1) N, t N), and each path carries the window its next step reads.
-    The maxima over prefixes, pairs and starts are taken over whole arrays.
-    Each sum runs over the same axis, in the same order, as one start's
-    alone, so the result does not depend on how many starts share it.
+    The path laws of all 2^(N p) starts are built together by n calls to
+    ``_extend_paths``, one step at a time from the block probabilities of
+    ``_window_probs``, then turned around so that row z of the
+    (S, 2^(N n)) law holds the paths started from window z with step t in
+    bits [(t-1) N, t N). The maxima over prefixes, pairs and starts are taken
+    over whole arrays. Each sum runs over the same axis, in the same order, as
+    one start's alone, so the result does not depend on how many starts
+    share it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -278,14 +285,12 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     _check_enum_budget(n_dims, p, n)
     _, block_probs = _window_probs(theta, link)
     n_states, block = block_probs.shape
-    keep_mask = (n_states >> n_dims) - 1
     law = np.ones((n_states, 1))
-    window = np.arange(n_states)[:, None]
     for _ in range(n):
-        # the new step takes the high bits of the path index
-        law = (law[:, None, :] * block_probs[window].transpose(0, 2, 1)).reshape(n_states, -1)
-        window = ((window & keep_mask) << n_dims)[:, None, :] | np.arange(block)[:, None]
-        window = window.reshape(n_states, -1)
+        law = _extend_paths(law, block_probs)
+    # _extend_paths puts the newest step in the low bits: reverse the steps
+    steps = law.reshape((n_states,) + (block,) * n).transpose(0, *range(n, 0, -1))
+    law = steps.reshape(n_states, -1)
     eta = np.eye(n)
     for k in range(1, n + 1):
         n_suffix = 1 << (n_dims * (n - k))

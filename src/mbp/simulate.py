@@ -35,8 +35,8 @@ DEFAULT_BURN_IN = 1000
 # uniforms held at once by simulate_batch; more replicates run in several chunks.
 # The kernel's states and the paths (one copy of the recorded rows) take one
 # byte per draw each, and the kernel's block arrays a few MiB: a full chunk
-# peaks at about 1.2 x this (38.6 MiB under tracemalloc at N = 10, 3001 steps,
-# 139 replicates; two chunks peak at 44.8 MiB).
+# peaks at about 1.2 x this (38.5 MiB under tracemalloc at N = 10, 3001 steps,
+# 139 replicates; two chunks peak at 41.1 MiB).
 MAX_BATCH_BYTES = 1 << 25
 # magnitude range of the nonzeros of random_sparse_theta (theta.magnitude_low/high)
 MAGNITUDE_LOW, MAGNITUDE_HIGH = 0.3, 1.0
@@ -111,13 +111,15 @@ def simulate_batch(
 ) -> list[SamplePath]:
     """One sample path per seed, all replicates advanced in one batched chain.
 
-    Replicate r draws ``default_rng(seeds[r]).random((p + burn_in + n, N))``,
-    exactly as :func:`simulate` does for that seed: the first p rows give the
-    initial window, the rest drive the chain. So replicate r's path equals
+    Replicate r's ``default_rng(seeds[r])`` fills its (p + burn_in + n, N)
+    rows of one replicate-major buffer in place, exactly as :func:`simulate`
+    does for that seed: the first p rows give the initial window, the rest
+    drive the chain, which reads the buffer step-major through a transposed
+    view. So replicate r's path equals
     ``simulate(theta, link, n, burn_in, seeds[r])`` bit for bit (see
     ``_kernels.chain_steps``). Replicates run in chunks that hold at most
     ``MAX_BATCH_BYTES`` of uniforms (the chunk's peak memory is about 1.2
-    times that).
+    times that; a single chain's about 1.25 times its uniforms).
     """
     if not theta.is_square:
         raise ValueError(
@@ -137,19 +139,19 @@ def simulate_batch(
     paths = []
     for start in range(0, len(seeds), chunk):
         part = seeds[start : start + chunk]
-        uniforms = np.empty((steps, len(part), n_dims))
+        # replicate-major, so each seed's stream fills its rows in place
+        buf = np.empty((len(part), steps, n_dims))
         for r, seed in enumerate(part):
-            uniforms[:, r] = np.random.default_rng(seed).random((steps, n_dims))
+            np.random.default_rng(seed).random(out=buf[r])
+        uniforms = buf.swapaxes(0, 1)
         init_hist = (uniforms[:p] < 0.5).astype(np.uint8)  # rows old -> recent
-        states = _kernels.chain_steps(
-            init_hist.transpose(1, 0, 2), stacked, link.alpha, link.eps, uniforms[p:]
-        )
+        states = _kernels.chain_steps(init_hist.transpose(1, 0, 2), stacked, link, uniforms[p:])
         # the recorded rows, copied once into one contiguous path per replicate
         recorded = np.empty((len(part), n + p, n_dims), dtype=np.uint8)
         np.concatenate([init_hist[burn_in:], states[max(burn_in - p, 0) :]],
                        out=recorded.swapaxes(0, 1))
+        del buf, uniforms, states  # freed before the paths are checked and the next chunk drawn
         paths += [SamplePath(data=recorded[r], n_lags=p, seed=seed) for r, seed in enumerate(part)]
-        del uniforms  # freed before the next chunk draws its own
     return paths
 
 

@@ -66,7 +66,10 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="mystery"):
             ExperimentConfig.from_mapping(parse_config_text(MINIMAL + "mystery = 1\n"))
 
-    @pytest.mark.parametrize("typo", ["fit.tols = 1e-12", "lambda.C2 = 9", "diagnose.sample = 3"])
+    @pytest.mark.parametrize(
+        "typo",
+        ["fit.tols = 1e-12", "lambda.C2 = 9", "diagnose.sample = 3", "run.point_timeout_seconds = 5"],
+    )
     def test_misspelled_key_under_known_prefix_rejected(self, typo):
         key = typo.split(" =")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):

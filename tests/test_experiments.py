@@ -201,31 +201,6 @@ class TestSupportRecovery:
         assert float(read_rows(summary)[0]["mean_support_fraction"]) == 1.0
 
 
-class TestTimeout:
-    def test_flagged_records_after_budget(self, tmp_path):
-        cfg = make_config(
-            tmp_path, "n",
-            **{"run.point_timeout_seconds": "1e-9", "replicates": "3",
-               "sweep.n_values": "100"},
-        )
-        runs, _ = run_experiment(cfg)
-        rows = read_rows(runs)
-        # first replicate may run; later ones at the point must be flagged
-        assert rows[-1]["converged"] == "0"
-        assert rows[-1]["frob_error"] == "nan"
-
-    def test_first_replicate_always_runs(self, tmp_path):
-        cfg = make_config(
-            tmp_path, "n",
-            **{"run.point_timeout_seconds": "1e-9", "replicates": "3",
-               "sweep.n_values": "100"},
-        )
-        runs, _ = run_experiment(cfg)
-        first, *skipped = read_rows(runs)
-        assert math.isfinite(float(first["frob_error"])) and first["converged"] == "1"
-        assert [(r["frob_error"], r["converged"]) for r in skipped] == [("nan", "0")] * 2
-
-
 class TestDiagnoseDispatch:
     def diag_config(self, tmp_path, name, check, n_dims=1, n_lags=2, **extra):
         mapping = {

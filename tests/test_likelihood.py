@@ -7,6 +7,7 @@ import pytest
 
 from helpers import clamp_free_tensor, path_from_rows, scaled_to_mixing
 
+from mbp import likelihood
 from mbp.config import ExperimentConfig
 from mbp.experiments import run_experiment
 from mbp.likelihood import (
@@ -351,13 +352,15 @@ class TestConcentrationTrial:
     @pytest.mark.parametrize(
         "n_dims,n_lags", [(EXACT_MEAN_MAX_BITS + 1, 1), (6, 2), (MAX_KERNEL_BITS + 1, 1)]
     )
-    def test_long_chain_fallback_above_exact_cap(self, n_dims, n_lags):
+    def test_long_chain_fallback_above_exact_cap(self, monkeypatch, n_dims, n_lags):
+        # a 400-step reference chain instead of the 10^6-term one
+        monkeypatch.setattr(likelihood, "REFERENCE_TERMS", n_dims * 400)
         theta = ParamTensor.zeros(n_dims, n_dims, n_lags)
         delta = ParamTensor(
             np.random.default_rng(22).standard_normal((n_dims, n_dims, n_lags))
         )
         report = concentration_trial(
-            theta, LINK, delta, n=50, t=0.1, replicates=2, seed=6, n_ref_terms=n_dims * 400,
+            theta, LINK, delta, n=50, t=0.1, replicates=2, seed=6,
         )
         ref_seed, forms = self.replicate_quad_forms(theta, delta, 50, 2, seed=6)
         mean = quad_form(delta, simulate(theta, LINK, 400, seed=ref_seed), LINK)
@@ -369,7 +372,7 @@ class TestConcentrationTrial:
         theta = scaled_to_mixing(rng, 2, 1, LINK, 0.4)
         report = concentration_trial(
             theta, LINK, ParamTensor.zeros(2, 2, 1), n=200, t=0.01,
-            replicates=5, seed=0, n_ref_terms=2000,
+            replicates=5, seed=0,
         )
         assert report.rate == 0.0
 
@@ -387,7 +390,6 @@ class TestConcentrationTrial:
         delta = ParamTensor(rng.standard_normal((2, 2, 1)))
         report = concentration_trial(
             theta, LINK, delta, n=1200, t=0.12, replicates=30, seed=1,
-            n_ref_terms=200_000,
         )
         se = math.sqrt(0.25 / 30)
         assert report.rate <= report.bound_rate + 3.0 * se + 1e-12

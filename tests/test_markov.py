@@ -1,5 +1,6 @@
 """Exact block kernels, contraction coefficients, mixing bounds and KL lemmas."""
 
+import functools
 import importlib
 import math
 
@@ -193,39 +194,50 @@ def kl_decomposition_oracle(theta, link):
     stacked = stack_tensor(theta)
     hists = [state_to_history(s, n_dims, p).astype(np.float64) for s in range(n_states)]
 
+    @functools.cache
     def step_probs(recent, start):
-        # recent: sampled states, most recent first; start fills the rest
-        window = np.concatenate([np.array(recent[:p]).reshape(-1, n_dims), start])[:p]
+        # recent: sampled states as bit tuples, most recent first; window start fills the rest
+        window = np.concatenate([np.array(recent[:p]).reshape(-1, n_dims), hists[start]])[:p]
         return np.asarray(link.eval(stacked @ window.ravel()))
 
-    def chain_rule(hist_z, hist_y):
+    @functools.cache
+    def partials(start, depth):
+        # (recent, weight) of every partial path of depth steps, drawn from start
+        if depth == 0:
+            return [((), 1.0)]
+        out = []
+        for recent, weight in partials(start, depth - 1):
+            pz = step_probs(recent, start)
+            for block in range(1 << n_dims):
+                bits = tuple(float((block >> i) & 1) for i in range(n_dims))
+                prob = float(np.prod(np.where(np.array(bits) > 0, pz, 1.0 - pz)))
+                out.append(((bits,) + recent, weight * prob))
+        return out
+
+    def chain_rule(z, y):
         rhs = 0.0
-        partials = [([], 1.0)]
-        for _ in range(p):
-            contrib, next_partials = 0.0, []
-            for recent, weight in partials:
-                pz, py = step_probs(recent, hist_z), step_probs(recent, hist_y)
+        for depth in range(p):
+            contrib = 0.0
+            for recent, weight in partials(z, depth):
+                pz, py = step_probs(recent, z), step_probs(recent, y)
                 contrib += weight * sum(kl_bernoulli(float(a), float(b)) for a, b in zip(pz, py))
-                for block in range(1 << n_dims):
-                    bits = np.array([(block >> i) & 1 for i in range(n_dims)], float)
-                    prob = float(np.prod(np.where(bits > 0, pz, 1.0 - pz)))
-                    next_partials.append(([bits] + recent, weight * prob))
             rhs += contrib
-            partials = next_partials
         return rhs
 
     lhs, rhs = np.empty((n_states, n_states)), np.empty((n_states, n_states))
     for z, y in np.ndindex(n_states, n_states):
         row_z, row_y = p_step[z], p_step[y]
         lhs[z, y] = float((row_z * np.log(row_z / row_y)).sum())
-        rhs[z, y] = chain_rule(hists[z], hists[y])
+        rhs[z, y] = chain_rule(z, y)
     return lhs, rhs
 
 
-# (N, p, n for eta): 12 draws over seven shapes, mixing norms uniform in (0.05, 0.95)
+# (N, p, n for eta): 15 draws over ten shapes, mixing norms uniform in (0.05, 0.95);
+# the last three have n < p, n = p and n = p at N p = 5
 ORACLE_DRAWS = [
     (1, 1, 6), (1, 1, 3), (1, 2, 6), (1, 2, 5), (1, 3, 6), (1, 3, 4),
     (2, 1, 6), (2, 1, 4), (2, 2, 5), (2, 2, 3), (3, 1, 4), (1, 4, 6),
+    (1, 4, 2), (2, 3, 3), (1, 5, 5),
 ]
 
 

@@ -235,6 +235,19 @@ class TestTableChain:
         path = simulate(theta, LINK, n, burn_in=burn_in, seed=seed)
         assert hashlib.sha256(path.data.tobytes()).hexdigest() == digest
 
+    def test_memory_is_the_uniforms_and_a_byte_per_draw(self):
+        # N = p = 1, 10^5 steps: the uniforms take 0.8 MB, the states and the
+        # path 0.1 MB each. A copy of the uniforms would add 0.8 MB
+        simulate(ParamTensor.zeros(1, 1, 1), LINK, 10, burn_in=0)  # first-call allocations
+        n = 100_000
+        tracemalloc.start()
+        try:
+            simulate(ParamTensor.zeros(1, 1, 1), LINK, n, burn_in=0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * (1 + n)
+
 
 def pinned_run(theta, link, n, burn_in, seeds, pin_every):
     """Kernel states and reference paths of replicates whose uniforms are
@@ -247,9 +260,7 @@ def pinned_run(theta, link, n, burn_in, seeds, pin_every):
         for r, seed in enumerate(seeds)
     ]
     init_hist = (u[:p] < 0.5).astype(np.uint8)
-    states = _kernels.chain_steps(
-        init_hist.transpose(1, 0, 2), stack_tensor(theta), link.alpha, link.eps, u[p:]
-    )
+    states = _kernels.chain_steps(init_hist.transpose(1, 0, 2), stack_tensor(theta), link, u[p:])
     paths = np.concatenate([init_hist, states])[burn_in:]
     return [paths[:, r] for r in range(len(seeds))], refs
 
@@ -325,7 +336,7 @@ class TestLoopChain:
         init_hist = np.zeros((1, 1, n_dims), dtype=np.uint8)
         tracemalloc.start()
         try:
-            states = _kernels.chain_steps(init_hist, stacked, 1.0, 0.05, uniforms)
+            states = _kernels.chain_steps(init_hist, stacked, LINK, uniforms)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -350,13 +361,39 @@ class TestLoopChain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a chunk's uniforms (8 bytes a draw), one replicate's draws while they
-        # are filled in, the states of this chunk and the one before, all the
-        # paths and the kernel's blocks
-        fill = 8 * steps * theta.n_rows
+        # a chunk's uniforms (8 bytes a draw, filled in place), its states, all
+        # the paths and the kernel's blocks
         paths_bytes = sum(path.data.nbytes for path in paths)
         blocks = 16 * 8 * _kernels.BLOCK_DRAWS
-        assert peak <= (8 + chunks) * chunk_draws + fill + paths_bytes + blocks
+        assert peak <= 9 * chunk_draws + paths_bytes + blocks
+
+
+class TestClampEdges:
+    """Uniforms on the clamp's edges draw as the exact form does, on every path."""
+
+    @pytest.mark.parametrize(
+        "replicates, n_dims, n_lags",
+        [(1, 3, 2), (1, 4, 3), (3, 4, 3)],
+        ids=["table", "loop_one_replicate", "loop_three_replicates"],
+    )
+    def test_draw_is_uniform_below_clamped_link(self, replicates, n_dims, n_lags):
+        eps = LINK.eps
+        edges = [0.0, np.nextafter(eps, 0.0), eps, np.nextafter(1.0 - eps, 0.0), 1.0 - eps]
+        rng = np.random.default_rng(n_dims * 10 + n_lags)
+        # odd rows of gain 800 saturate the sigmoid, so the clamp makes their
+        # probabilities exactly eps or 1 - eps; even rows of gain 0.5 stay inside
+        gain = np.where(np.arange(n_dims) % 2, 800.0, 0.5)[:, None, None]
+        theta = ParamTensor(gain * rng.standard_normal((n_dims, n_dims, n_lags)))
+        w_t = np.ascontiguousarray(stack_tensor(theta)).T
+        n_steps = 300
+        uniforms = rng.choice(edges, size=(n_steps, replicates, n_dims))
+        init_hist = rng.integers(0, 2, size=(replicates, n_lags, n_dims), dtype=np.uint8)
+        states = _kernels.chain_steps(init_hist, stack_tensor(theta), LINK, uniforms)
+        for r in range(replicates):
+            rows = np.concatenate([init_hist[r], states[:, r]])  # oldest first
+            for t in range(n_steps):
+                h = rows[t : t + n_lags][::-1].reshape(1, -1).astype(np.float64)
+                assert np.array_equal(states[t, r], uniforms[t, r] < LINK.eval(h @ w_t)[0])
 
 
 class TestDesignMatrix:
