@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import DEFAULT_SIMULATION_C2, ConfigError, load_config, resolve_c2
-from .estimator import FitConfig, fit, lambda_policy
+from .config import ConfigError, load_config
+from .estimator import SIMULATION_C2, FitConfig, fit, lambda_policy
 from .experiments import run_experiment
 from .link import LinkSpec, sigmoid_link
 from .simulate import DEFAULT_BURN_IN, random_sparse_theta, read_path, simulate, write_path
@@ -53,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-policy",
         metavar="MODE[,C2]",
         help="derive the weight from a policy: simulation or theorem, "
-        "optionally with the constant, e.g. 'simulation,0.5'; simulation without "
-        f"one uses {DEFAULT_SIMULATION_C2}, as configs do",
+        "optionally with the constant, e.g. 'simulation,0.5'; without one, "
+        f"simulation uses {SIMULATION_C2} and theorem 1, as configs do",
     )
-    fit_p.add_argument("--tol", type=float, default=FitConfig.tol, help="KKT tolerance over lambda")
+    fit_p.add_argument("--tol", type=float, default=FitConfig.tol,
+                       help="KKT tolerance over lambda (default %(default)s, as configs use)")
     fit_p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
     fit_p.add_argument("--out", required=True, help="output tensor file")
     _add_link_flags(fit_p)
@@ -91,9 +92,8 @@ def _cmd_fit(args) -> int:
     if args.lam is not None:
         lam = args.lam
     else:
-        parts = args.lambda_policy.split(",")
-        mode = parts[0]
-        c2 = resolve_c2(mode, float(parts[1]) if len(parts) > 1 else None)
+        mode, _, c2 = args.lambda_policy.partition(",")
+        c2 = float(c2) if c2 else None
         lam = lambda_policy(path.n, path.n_dims, path.n_lags, link=link, c2=c2, mode=mode)
     result = fit(path, link, FitConfig(lam=lam, max_iters=args.max_iters, tol=args.tol))
     write_tensor(result.theta_hat, args.out)

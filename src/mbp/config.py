@@ -27,7 +27,7 @@ from .estimator import FitConfig
 from .link import LinkSpec
 from .simulate import DEFAULT_BURN_IN, MAGNITUDE_HIGH, MAGNITUDE_LOW
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config", "resolve_c2"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
 
 EXPERIMENTS = ("error_vs_n", "error_vs_sparsity", "grid", "support_recovery", "diagnose")
 
@@ -67,14 +67,6 @@ KEYS = {
     }.items()},
 }
 
-# Penalty constant used by the harness when the config does not set
-# lambda.c2. The nominal constant 100 of the reference protocol presumes an
-# unnormalized (summed) likelihood; against the normalized loss this solver
-# minimizes it exceeds the gradient scale a hundredfold and shrinks every
-# fit to zero, so the harness default is recalibrated to track the gradient
-# noise scale instead. Fully recorded in every run CSV.
-DEFAULT_SIMULATION_C2 = 0.25
-
 
 class ConfigError(ValueError):
     """Invalid or missing configuration entry; the message names the key."""
@@ -84,17 +76,6 @@ def field_error(name: str, problem: str) -> ConfigError:
     """ConfigError naming the config key of ExperimentConfig field ``name``."""
     key = next(key for key, (field_name, _) in KEYS.items() if field_name == name)
     return ConfigError(f"key '{key}': {problem}")
-
-
-def resolve_c2(mode: str, c2: float | None) -> float | None:
-    """The c2 that lambda_policy gets for a penalty mode and an optional constant.
-
-    An unset constant is ``DEFAULT_SIMULATION_C2`` in simulation mode; in
-    theorem mode it stays unset, so the policy applies its own default.
-    """
-    if c2 is None and mode == "simulation":
-        return DEFAULT_SIMULATION_C2
-    return c2
 
 
 def parse_config_text(text: str) -> dict:
@@ -131,7 +112,7 @@ class ExperimentConfig:
     magnitude_low: float = MAGNITUDE_LOW
     magnitude_high: float = MAGNITUDE_HIGH
     burn_in: int = DEFAULT_BURN_IN
-    fit_tol: float = 1e-6
+    fit_tol: float = FitConfig.tol
     fit_max_iters: int = FitConfig.max_iters
     master_seed: int = 0
     output_dir: str = "out"
@@ -191,9 +172,6 @@ class ExperimentConfig:
         if "link" in values:
             values["link"] = LinkSpec(**values["link"])
         return cls(**values)
-
-    def effective_c2(self) -> float | None:
-        return resolve_c2(self.lambda_mode, self.lambda_c2)
 
 
 def load_config(path) -> ExperimentConfig:

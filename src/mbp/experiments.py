@@ -55,9 +55,6 @@ class RunRecord:
     wall_seconds: float
     seed: int
 
-    def row(self):
-        return [_cell(v) for v in astuple(self)]
-
 
 # the runs CSV header: RunRecord's fields, three of them under shorter names
 RECORD_COLUMNS = tuple(
@@ -94,14 +91,8 @@ def _point_seeds(master_seed: int, s: int, n: int, replicate: int):
 def _effective_lambda(config: ExperimentConfig, n: int) -> float:
     if config.lambda_mode == "fixed":
         return float(config.lambda_value)
-    return lambda_policy(
-        n,
-        config.n_dims,
-        config.n_lags,
-        link=config.link,
-        c2=config.effective_c2(),
-        mode=config.lambda_mode,
-    )
+    return lambda_policy(n, config.n_dims, config.n_lags, link=config.link,
+                         c2=config.lambda_c2, mode=config.lambda_mode)
 
 
 def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int) -> RunRecord:
@@ -209,10 +200,21 @@ _SWEEPS = {
 }
 
 
-# Diagnostic checks: config -> files written. config.diagnose holds typed values
-# (ExperimentConfig.from_mapping converts them). The benchmark rebinds fit,
-# simulate, the trials and the markov/spectral routines here, so they are looked
-# up as module globals at call time, never captured in a dict, default or partial.
+# Diagnostic checks: (config, **settings) -> files written. A check's keyword
+# parameters are its diagnose.* settings, with their defaults; _diagnose passes
+# the config.diagnose entries (typed by ExperimentConfig.from_mapping) that name
+# them. The shared keys check, seed, theta, s and theta_seed are read from
+# config.diagnose. The benchmark rebinds fit, simulate, the trials and the
+# markov/spectral routines here, so they are looked up as module globals at
+# call time, never captured in a dict, default or partial.
+
+_SAMPLES = 100  # random mixing tensors of gf-bound, eta-bound and kl-decomp
+
+
+def _settings(fn, spec: dict) -> dict:
+    """The entries of ``spec`` named by a parameter of ``fn`` after its first."""
+    names = list(inspect.signature(fn).parameters)[1:]
+    return {name: spec[name] for name in names if name in spec}
 
 
 def _seed(config: ExperimentConfig) -> int:
@@ -231,29 +233,28 @@ def _diag_theta(config: ExperimentConfig):
     )
 
 
-def _mixing_thetas(config: ExperimentConfig):
-    """``diagnose.samples`` dense random tensors rescaled to a mixing norm uniform
-    in (0.05, 0.95), from a fresh master-seed stream on every call."""
+def _mixing_thetas(config: ExperimentConfig, samples: int):
+    """``samples`` dense random tensors rescaled to a mixing norm uniform in
+    (0.05, 0.95), from a fresh master-seed stream on every call."""
     rng = np.random.default_rng(config.master_seed)
-    for _ in range(config.diagnose.get("samples", 100)):
+    for _ in range(samples):
         values = rng.standard_normal((config.n_dims, config.n_dims, config.n_lags))
         target = rng.uniform(0.05, 0.95)
         yield ParamTensor(values * (target / mixing_norm(ParamTensor(values), config.link)))
 
 
-def _gf_bound(config):
+def _gf_bound(config, samples=_SAMPLES):
     rows = []
-    for i, theta in enumerate(_mixing_thetas(config)):
+    for i, theta in enumerate(_mixing_thetas(config, samples)):
         res = contraction_check(theta, config.link)
         rows.append([i, res.tau1_p_step, res.mixing_norm_value, res.holds])
     columns = ["sample", "tau1_p_step", "mixing_norm", "holds"]
     return [_write(config, "diagnose_gf_bound.csv", columns, rows)]
 
 
-def _eta_bound(config):
-    n = config.diagnose.get("n", 6)
+def _eta_bound(config, samples=_SAMPLES, n=6):
     rows = []
-    for i, theta in enumerate(_mixing_thetas(config)):
+    for i, theta in enumerate(_mixing_thetas(config, samples)):
         tau = contraction_check(theta, config.link).tau1_p_step
         eta = mixing_coefficients(theta, config.link, n)
         rows += [[i, *row] for row in mixing_bound_rows(eta, tau, config.n_lags)]
@@ -261,9 +262,9 @@ def _eta_bound(config):
     return [_write(config, "diagnose_eta_bound.csv", columns, rows)]
 
 
-def _kl_decomp(config):
+def _kl_decomp(config, samples=_SAMPLES):
     rows = []
-    for i, theta in enumerate(_mixing_thetas(config)):
+    for i, theta in enumerate(_mixing_thetas(config, samples)):
         res = kl_chain_decomposition(theta, config.link)
         for z, y in np.ndindex(res.lhs.shape):
             rows.append([i, z, y, res.lhs[z, y], res.rhs[z, y], res.agree[z, y]])
@@ -271,11 +272,9 @@ def _kl_decomp(config):
     return [_write(config, "diagnose_kl_decomp.csv", columns, rows)]
 
 
-def _psd(config):
-    spec = config.diagnose
-    n = spec.get("n", 200_000)
+def _psd(config, n=200_000, segments=50, freq_points=256):
     path = simulate(_diag_theta(config), config.link, n, burn_in=config.burn_in, seed=_seed(config))
-    report = psd_estimate(path, spec.get("segments", 50), spec.get("freq_points", 256))
+    report = psd_estimate(path, segments, freq_points)
     return [
         _write(config, "diagnose_psd.csv", ["freq", "min_eig"],
                zip(report.freq_grid, report.min_eigs)),
@@ -284,13 +283,9 @@ def _psd(config):
     ]
 
 
-def _decay_table(config):
-    spec = config.diagnose
-    family = spec.get("family", "polynomial")
-    # the magnitude function's parameters after the lags, as diagnose.* keys
-    shape = list(inspect.signature(DECAY_FAMILIES[family]).parameters.values())[1:]
-    params = {q.name: spec.get(q.name, q.default) for q in shape}
-    p_values = spec.get("p_values", (1, 2, 4, 8, 16, 32, 64, 128))
+def _decay_table(config, family="polynomial", p_values=(1, 2, 4, 8, 16, 32, 64, 128)):
+    # the family's parameters after the lags (c, alpha, beta) are diagnose.* keys
+    params = _settings(DECAY_FAMILIES[family], config.diagnose)
     rows = [
         [r.p, r.inner_norm, r.mixing_norm, r.concentration, r.diverged]
         for r in decay_scaling_report(family, config.n_dims, p_values, config.link, **params)
@@ -308,44 +303,33 @@ def _trial_files(config, stem, report):
             _write(config, f"diagnose_{stem}_summary.csv", ["rate", "bound_rate"], summary)]
 
 
-def _grad_bound(config):
-    spec = config.diagnose
+def _grad_bound(config, n=500, c1=4.0, replicates=200):
     report = grad_bound_trial(
-        _diag_theta(config), config.link,
-        n=spec.get("n", 500),
-        c1=spec.get("c1", 4.0),
-        replicates=spec.get("replicates", 200),
-        seed=_seed(config),
-        burn_in=config.burn_in,
+        _diag_theta(config), config.link, n=n, c1=c1, replicates=replicates,
+        seed=_seed(config), burn_in=config.burn_in,
     )
     return _trial_files(config, "grad_bound", report)
 
 
-def _concentration(config):
-    spec = config.diagnose
+def _concentration(config, n=2000, t=0.1, replicates=300):
     theta = _diag_theta(config)
     seed = _seed(config)
     delta = ParamTensor(np.random.default_rng(seed + 1).standard_normal(theta.values.shape))
     report = concentration_trial(
-        theta, config.link, delta,
-        n=spec.get("n", 2000),
-        t=spec.get("t", 0.1),
-        replicates=spec.get("replicates", 300),
+        theta, config.link, delta, n=n, t=t, replicates=replicates,
         seed=seed, burn_in=config.burn_in,
     )
     return _trial_files(config, "concentration", report)
 
 
-def _rsc(config):
-    spec = config.diagnose
+def _rsc(config, n=2000, directions=64):
     theta = _diag_theta(config)
     seed = _seed(config)
-    path = simulate(theta, config.link, spec.get("n", 2000), burn_in=config.burn_in, seed=seed)
+    path = simulate(theta, config.link, n, burn_in=config.burn_in, seed=seed)
     value = rsc_probe(
         theta, config.link, path,
-        s=spec.get("s", max(1, config.s_values[0] if config.s_values else 1)),
-        n_directions=spec.get("directions", 64),
-        seed=seed,
+        s=config.diagnose.get("s", max(1, config.s_values[0] if config.s_values else 1)),
+        n_directions=directions, seed=seed,
     )
     return [_write(config, "diagnose_rsc.csv", ["curvature"], [[value]])]
 
@@ -385,7 +369,8 @@ def _diagnose(config: ExperimentConfig):
     os.makedirs(config.output_dir, exist_ok=True)
     files, index = [], []
     for name in names:
-        written = _CHECKS[name](config)
+        check = _CHECKS[name]
+        written = check(config, **_settings(check, config.diagnose))
         files += written
         index.append([name, ";".join(os.path.basename(f) for f in written)])
     return files + [_write(config, "diagnose_index.csv", ["check", "files"], index)]
@@ -400,5 +385,5 @@ def run_experiment(config: ExperimentConfig):
         raise field_error(f"{single}_values", f"{config.experiment} needs exactly one {single}")
     records = _sweep(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    runs = _write(config, f"{config.experiment}_runs.csv", RECORD_COLUMNS, [r.row() for r in records])
+    runs = _write(config, f"{config.experiment}_runs.csv", RECORD_COLUMNS, map(astuple, records))
     return [runs] + summarize(config, records)

@@ -55,11 +55,15 @@ class SamplePath:
     seed: int = -1
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise ValueError(f"path data must be 2-dimensional, got {arr.shape}")
-        if not np.all((arr == 0) | (arr == 1)):
+        # tested before the cast, which would read 0.5 and 256 as 0; on uint8
+        # input the max is the whole test and allocates nothing
+        uint8 = arr.dtype == np.uint8
+        if arr.size and not (arr.max() <= 1 if uint8 else np.array_equal(arr, arr != 0)):
             raise ValueError("path entries must be 0/1")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         if self.n_lags < 1:
             raise ValueError("n_lags must be positive")
         if arr.shape[0] <= self.n_lags:
@@ -213,7 +217,10 @@ def read_path(fname) -> SamplePath:
         if len(header) != 4:
             raise ValueError(f"malformed path header: {header}")
         n, n_dims, p, seed = (int(x) for x in header)
-        rows = np.array(fh.read().split(), dtype=np.uint8)
+        try:
+            rows = np.array(fh.read().split(), dtype=np.uint8)
+        except OverflowError as exc:  # a bit below 0 or above 255
+            raise ValueError(f"path entries must be 0/1 ({exc})") from exc
     if rows.size != (n + p) * n_dims:
         raise ValueError(f"expected {(n + p) * n_dims} bits, found {rows.size}")
     return SamplePath(data=rows.reshape(n + p, n_dims), n_lags=p, seed=seed)

@@ -9,6 +9,7 @@ import pytest
 from helpers import README
 from mbp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser, main
 from mbp.config import ExperimentConfig
+from mbp.estimator import FitConfig
 from mbp.experiments import _effective_lambda
 from mbp.simulate import read_path
 from mbp.tensor import read_tensor
@@ -93,16 +94,36 @@ def test_fit_lambda_policy_default_c2_matches_config(tmp_path, capsys):
     # the policy constant a config leaves unset is the one the CLI uses
     data = tmp_path / "path.txt"
     main(["simulate", "--random", "3,2,4", "--n", "400", "--seed", "2", "--out", str(data)])
-    capsys.readouterr()
     out = tmp_path / "f.txt"
-    code = main(["fit", "--data", str(data), "--lambda-policy", "simulation", "--out", str(out)])
-    assert code == EXIT_OK
-    config = ExperimentConfig.from_mapping(
-        {"experiment": "error_vs_n", "N": "3", "p": "2", "sweep.s_values": "4",
-         "sweep.n_values": "400"}
-    )
-    assert f"lambda={_effective_lambda(config, 400):.6g} " in capsys.readouterr().out
-    assert np.count_nonzero(read_tensor(out).values) > 0
+    for mode in ("simulation", "theorem"):
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--lambda-policy", mode, "--out", str(out)])
+        assert code == EXIT_OK
+        config = ExperimentConfig.from_mapping(
+            {"experiment": "error_vs_n", "N": "3", "p": "2", "sweep.s_values": "4",
+             "sweep.n_values": "400", "lambda.mode": mode}
+        )
+        assert config.lambda_c2 is None
+        assert f"lambda={_effective_lambda(config, 400):.6g} " in capsys.readouterr().out
+        if mode == "simulation":
+            assert np.count_nonzero(read_tensor(out).values) > 0
+
+
+def test_fit_bad_path_bit_is_an_error_line(tmp_path, capsys):
+    # a bit outside uint8 is a ValueError, reported as one line, not a traceback
+    data = tmp_path / "bad.txt"
+    data.write_text("2 1 1 0\n0\n256\n1\n")
+    code = main(["fit", "--data", str(data), "--lambda", "0.1", "--out", str(tmp_path / "f.txt")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: path entries must be 0/1") and err.count("\n") == 1
+
+
+def test_fit_tol_default_is_the_config_default():
+    # one tolerance: the CLI flag, the solver and a config without fit.tol
+    args = build_parser().parse_args(["fit", "--data", "d", "--lambda", "1", "--out", "o"])
+    config = ExperimentConfig.from_mapping({"experiment": "diagnose", "N": "1", "p": "1"})
+    assert args.tol == FitConfig.tol == config.fit_tol == 1e-6
 
 
 def test_diagnose_config_writes_to_default_out(tmp_path, monkeypatch):

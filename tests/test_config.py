@@ -47,14 +47,14 @@ class TestExperimentConfig:
         assert cfg.replicates == 20
         assert cfg.link.alpha == 1.0 and cfg.link.eps == 0.05
         assert cfg.lambda_mode == "simulation"
-        assert cfg.effective_c2() == pytest.approx(0.25)
+        assert cfg.lambda_c2 is None  # lambda_policy's own default applies
         assert cfg.burn_in == 1000
 
     def test_explicit_c2_overrides_default(self):
         cfg = ExperimentConfig.from_mapping(
             parse_config_text(MINIMAL + "lambda.c2 = 7\n")
         )
-        assert cfg.effective_c2() == 7.0
+        assert cfg.lambda_c2 == 7.0
 
     def test_unknown_experiment_names_key(self):
         with pytest.raises(ConfigError, match="experiment"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import path_from_rows
 
 from mbp.estimator import (
+    SIMULATION_C2,
     FitConfig,
     _column_gather,
     error_metrics,
@@ -27,6 +28,7 @@ from mbp.simulate import design_matrix, random_sparse_theta, simulate
 from mbp.tensor import ParamTensor, stack_tensor, tensor_norm, unstack_tensor
 
 LINK = sigmoid_link(1.0, 0.05)
+TOL = 1e-8  # tighter than FitConfig's default, so the solver runs to its last steps
 
 
 def objective(theta, path, lam):
@@ -53,9 +55,14 @@ def ista_oracle(path, lam, iterations=20_000):
 
 class TestLambdaPolicy:
     def test_simulation_reference_value(self):
-        value = lambda_policy(4490, 20, 20)
+        value = lambda_policy(4490, 20, 20, c2=100.0)
         assert value == pytest.approx(100.0 * math.sqrt(math.log(8000.0) / 4490.0), rel=1e-12)
         assert value == pytest.approx(4.474, abs=5e-4)
+
+    def test_simulation_default_c2(self):
+        # one default, scaled for the normalized loss (100 shrinks every fit to 0)
+        assert SIMULATION_C2 == 0.25
+        assert lambda_policy(4490, 20, 20) == lambda_policy(4490, 20, 20, c2=SIMULATION_C2)
 
     def test_sqrt_scaling(self):
         assert lambda_policy(4 * 700, 5, 3) == pytest.approx(
@@ -105,7 +112,7 @@ class TestFit:
         theta = random_sparse_theta(3, 1, 4, seed=0)
         path = simulate(theta, LINK, 400, seed=0)
         g0 = tensor_norm(nll_grad(ParamTensor.zeros(3, 3, 1), path, LINK)[1], "inf")
-        res = fit(path, LINK, FitConfig(lam=g0 * 1.05))
+        res = fit(path, LINK, FitConfig(lam=g0 * 1.05, tol=TOL))
         assert not res.theta_hat.values.any()
         assert res.converged
 
@@ -128,7 +135,7 @@ class TestFit:
     def test_objective_trace_monotone(self):
         theta = random_sparse_theta(4, 2, 8, seed=2)
         path = simulate(theta, LINK, 300, seed=2)
-        res = fit(path, LINK, FitConfig(lam=0.01))
+        res = fit(path, LINK, FitConfig(lam=0.01, tol=TOL))
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
     def test_kkt_residual_at_convergence(self):
@@ -189,7 +196,7 @@ class TestFit:
 
             monkeypatch.setattr(module, "_newton_step", fourth_step_stalls)
         config = {
-            "kkt": FitConfig(lam=lam),
+            "kkt": FitConfig(lam=lam, tol=TOL),
             "max_iters": FitConfig(lam=lam, tol=1e-14, max_iters=3),
             "line_search": FitConfig(lam=lam, tol=1e-14),
         }[reason]
@@ -214,7 +221,7 @@ class TestFit:
             return out
 
         monkeypatch.setattr(module, "_newton_step", recorded)
-        fit(path, LINK, FitConfig(lam=0.01))
+        fit(path, LINK, FitConfig(lam=0.01, tol=TOL))
         X = design_matrix(path)
         assert len(moves) > 1 and all(move.any() for move, _ in moves)
         for move, shift in moves:
@@ -238,7 +245,7 @@ class TestFit:
         change = module.softplus_change
         monkeypatch.setattr(module, "softplus_change", lambda b, delta: change(b, delta) + 1.0)
         path = simulate(random_sparse_theta(3, 2, 6, seed=5), LINK, 200, seed=5)
-        res = fit(path, LINK, FitConfig(lam=1e-4))
+        res = fit(path, LINK, FitConfig(lam=1e-4, tol=TOL))
         assert res.converged is False
         assert res.stop_reason == "line_search"
         assert res.iterations == 1
@@ -254,7 +261,7 @@ class TestFit:
         path = path_from_rows(np.hstack([bits, bits]), n_lags=1)
         warm = ParamTensor(np.full((2, 2, 1), 0.5))
         lam = 0.01
-        res = fit(path, LINK, FitConfig(lam=lam), theta_init=warm)
+        res = fit(path, LINK, FitConfig(lam=lam, tol=TOL), theta_init=warm)
         assert res.converged
         oracle = objective(ista_oracle(path, lam), path, lam)
         assert objective(res.theta_hat, path, lam) <= oracle + 1e-10
@@ -262,7 +269,7 @@ class TestFit:
     def test_theta_init_used_and_validated(self):
         theta = random_sparse_theta(2, 1, 2, seed=6)
         path = simulate(theta, LINK, 100, seed=6)
-        warm = fit(path, LINK, FitConfig(lam=0.01), theta_init=theta)
+        warm = fit(path, LINK, FitConfig(lam=0.01, tol=TOL), theta_init=theta)
         assert warm.converged
         with pytest.raises(ValueError):
             fit(path, LINK, FitConfig(lam=0.01), theta_init=ParamTensor.zeros(3, 3, 1))
@@ -291,7 +298,7 @@ class TestFit:
         # digests of the proximal Newton iterates: any changed working set,
         # inner solve or line-search step changes them
         path = simulate(random_sparse_theta(4, 2, 8, seed=2), LINK, 300, seed=2)
-        res = fit(path, LINK, FitConfig(lam=lam))
+        res = fit(path, LINK, FitConfig(lam=lam, tol=TOL))
         assert (res.iterations, res.stop_reason) == (iterations, "kkt")
         assert hashlib.sha256(res.theta_hat.values.tobytes()).hexdigest() == theta_digest
         assert hashlib.sha256(res.objective_trace.tobytes()).hexdigest() == trace_digest
@@ -313,7 +320,7 @@ class TestFit:
     def test_no_worse_than_ista_oracle(self, n_dims, p, s, n, lam, low, high):
         truth = random_sparse_theta(n_dims, p, s, low, high, seed=n_dims + s)
         path = simulate(truth, LINK, n, seed=n)
-        res = fit(path, LINK, FitConfig(lam=lam))
+        res = fit(path, LINK, FitConfig(lam=lam, tol=TOL))
         assert res.converged
         oracle = objective(ista_oracle(path, lam), path, lam)
         assert objective(res.theta_hat, path, lam) <= oracle + 1e-10

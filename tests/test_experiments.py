@@ -17,6 +17,7 @@ from mbp.config import KEYS, ConfigError, ExperimentConfig
 from mbp.estimator import lambda_policy
 from mbp.experiments import RECORD_COLUMNS, run_experiment
 from mbp.simulate import random_sparse_theta
+from mbp.spectral import DECAY_FAMILIES
 
 
 def make_config(tmp_path, name, **overrides):
@@ -314,22 +315,6 @@ class TestDiagnoseDispatch:
         assert "rate" in read_rows(summary)[0]
 
 
-class _Stop(Exception):
-    """Raised by a stubbed heavy call once a check has read its settings."""
-
-
-class _RecordingSpec(dict):
-    """A diagnose dict that records the default of every key read with get."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.defaults = {}
-
-    def get(self, key, default=None):
-        self.defaults[key] = default
-        return super().get(key, default)
-
-
 def readme_rows(key_prefix):
     """Cells of the README table rows whose key cell starts with key_prefix."""
     with open(README, encoding="utf-8") as fh:
@@ -344,31 +329,22 @@ class TestReadmeDefaults:
     # diagnose keys whose README default names another setting, not a value
     SYMBOLIC = {"check", "seed", "theta", "s", "theta_seed"}
 
-    def applied_diagnose_defaults(self, monkeypatch, tmp_path):
-        """{(check, key): default} the checks pass to ``get``, heavy calls stubbed."""
+    @staticmethod
+    def settings(fn):
+        """The parameters of a check or a decay family after its first."""
+        return list(inspect.signature(fn).parameters.values())[1:]
 
-        def stop(*args, **kwargs):
-            raise _Stop
+    def check_defaults(self):
+        """{(check, key): default}: each check's keyword parameters, decay-table's
+        with the parameters of the decay families it passes them to."""
+        defaults = {(check, q.name): q.default
+                    for check, fn in experiments._CHECKS.items() for q in self.settings(fn)}
+        for family in DECAY_FAMILIES.values():
+            for q in self.settings(family):
+                assert defaults.setdefault(("decay-table", q.name), q.default) == q.default
+        return defaults
 
-        for name in ("contraction_check", "kl_chain_decomposition", "psd_estimate",
-                     "decay_scaling_report", "grad_bound_trial", "concentration_trial",
-                     "rsc_probe"):
-            monkeypatch.setattr(experiments, name, stop)
-        monkeypatch.setattr(experiments, "simulate", lambda *args, **kwargs: None)
-        config = ExperimentConfig.from_mapping(
-            {"experiment": "diagnose", "N": "2", "p": "1", "output_dir": str(tmp_path)}
-        )
-        applied = {}
-        # the exponential family is the only reader of diagnose.beta
-        runs = [(check, {}) for check in experiments._CHECKS]
-        for check, spec in runs + [("decay-table", {"family": "exponential"})]:
-            spec = _RecordingSpec(spec)
-            with pytest.raises(_Stop):
-                experiments._CHECKS[check](dataclasses.replace(config, diagnose=spec))
-            applied.update({(check, key): value for key, value in spec.defaults.items()})
-        return {k: v for k, v in applied.items() if k[1] not in self.SYMBOLIC}
-
-    def test_diagnose_table_matches_check_defaults(self, monkeypatch, tmp_path):
+    def test_diagnose_table_matches_check_defaults(self):
         documented = {}
         for key_cell, default_cell, read_by in readme_rows("diagnose."):
             keys = re.findall(r"`diagnose\.(\w+)`", key_cell)
@@ -381,7 +357,12 @@ class TestReadmeDefaults:
                 parse = KEYS[f"diagnose.{key}"][1]
                 for check, value in zip(checks, values, strict=True):
                     documented[check, key] = parse(value.strip("`"))
-        assert documented == self.applied_diagnose_defaults(monkeypatch, tmp_path)
+        assert documented == self.check_defaults()
+
+    def test_every_diagnose_key_is_read(self):
+        # a diagnose.* key is a setting of a check or a decay family, or shared
+        keys = {key.partition(".")[2] for key in KEYS if key.startswith("diagnose.")}
+        assert keys == {key for _, key in self.check_defaults()} | self.SYMBOLIC
 
     def test_magnitude_row_matches_config_and_library(self):
         ((_, cell, _),) = readme_rows("theta.magnitude_low/high")

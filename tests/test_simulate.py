@@ -490,11 +490,34 @@ class TestPathFiles:
         with pytest.raises(ValueError):
             read_path(fname)
 
+    @pytest.mark.parametrize("bit", ["256", "-1", "2", "0.5"])
+    def test_bad_bit_rejected(self, tmp_path, bit):
+        # a ValueError, which the command line reports as an error line
+        fname = tmp_path / "bad.txt"
+        fname.write_text(f"2 2 1 0\n1 0\n0 {bit}\n1 1\n")
+        with pytest.raises(ValueError):
+            read_path(fname)
+
 
 class TestSamplePathValidation:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             SamplePath(data=np.array([[2, 0], [0, 1]]), n_lags=1)
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, 256, -1, np.nan, np.uint8(2)], ids=["0.5", "256", "-1", "nan", "uint8_2"]
+    )
+    def test_rejects_non_binary_before_the_cast(self, bad):
+        # a cast to uint8 would read 0.5 and 256 as 0
+        data = np.array([[bad, 0], [0, 1]], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError, match="0/1"):
+            SamplePath(data=data, n_lags=1)
+
+    def test_accepts_bool_and_float_bits(self):
+        for dtype in (bool, float, np.int64):
+            path = SamplePath(data=np.array([[1, 0], [0, 1]], dtype=dtype), n_lags=1)
+            assert path.data.dtype == np.uint8
+            assert path.data.tolist() == [[1, 0], [0, 1]]
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(ValueError):
