@@ -29,7 +29,7 @@ from .markov import (
     mixing_bound_rows,
     mixing_coefficients,
 )
-from .simulate import random_sparse_theta, simulate
+from .simulate import child_seeds, random_sparse_theta, simulate
 from .spectral import DECAY_FAMILIES, decay_scaling_report, psd_estimate
 from .tensor import ParamTensor, mixing_norm, read_tensor
 
@@ -80,14 +80,6 @@ def _write(config: ExperimentConfig, name: str, columns, rows) -> str:
     return fname
 
 
-def _point_seeds(master_seed: int, s: int, n: int, replicate: int):
-    # seeds depend only on (master_seed, point, replicate): sweeps sharing a
-    # point share draws, so a grid row equals the matching 1-D sweep
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(s), int(n), int(replicate)))
-    # (theta seed, path seed)
-    return tuple(int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(2))
-
-
 def _effective_lambda(config: ExperimentConfig, n: int) -> float:
     if config.lambda_mode == "fixed":
         return float(config.lambda_value)
@@ -96,7 +88,8 @@ def _effective_lambda(config: ExperimentConfig, n: int) -> float:
 
 
 def _run_replicate(config: ExperimentConfig, s: int, n: int, rep: int) -> RunRecord:
-    theta_seed, path_seed = _point_seeds(config.master_seed, s, n, rep)
+    # sweeps sharing a point share draws, so a grid row equals the 1-D sweep
+    theta_seed, path_seed = child_seeds(config.master_seed, 2, key=(s, n, rep))
     lam = _effective_lambda(config, n)
     start = time.perf_counter()
     theta_star = random_sparse_theta(

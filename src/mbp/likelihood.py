@@ -21,7 +21,14 @@ import numpy as np
 
 from . import _kernels, markov
 from .link import LinkSpec
-from .simulate import DEFAULT_BURN_IN, SamplePath, design_matrix, simulate, simulate_batch
+from .simulate import (
+    DEFAULT_BURN_IN,
+    SamplePath,
+    child_seeds,
+    design_matrix,
+    simulate,
+    simulate_batch,
+)
 from .tensor import (
     ParamTensor,
     concentration_constant,
@@ -116,9 +123,8 @@ def stationary_quad_form(delta: ParamTensor, theta: ParamTensor, link: LinkSpec)
     """
     if theta.values.shape != delta.values.shape:
         raise ValueError("theta and delta shapes differ")
-    kernel = markov.build_kernel(theta, link)
-    pi = markov.stationary_law(kernel)
-    inner = markov._state_bit_matrix(kernel.state_bits) @ stack_tensor(delta).T
+    pi = markov.stationary_law(markov.build_kernel(theta, link))
+    inner = markov._state_bit_matrix(theta.n_rows * theta.n_lags) @ stack_tensor(delta).T
     return link.curvature * float(pi @ (inner * inner).sum(axis=1))
 
 
@@ -162,9 +168,10 @@ class TrialReport:
     bound_rate: float
 
 
-def _spawn_seeds(seed: int, count: int):
-    ss = np.random.SeedSequence(int(seed))
-    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
+def _tail_report(name: str, stats, threshold: float, bound_rate: float) -> TrialReport:
+    """The report of replicate statistics ``stats`` against one ``threshold``."""
+    rows = tuple((rep, stat, threshold, stat > threshold) for rep, stat in enumerate(stats))
+    return TrialReport(name, rows, sum(v for *_, v in rows) / len(rows), bound_rate)
 
 
 def grad_bound_trial(
@@ -188,18 +195,9 @@ def grad_bound_trial(
         raise ValueError("replicates must be >= 1")
     dim = theta_star.n_entries
     bound = (link.lipschitz / link.eps) * math.sqrt(c1 * math.log(dim) / n)
-    rows = []
-    paths = simulate_batch(theta_star, link, n, _spawn_seeds(seed, replicates), burn_in=burn_in)
-    for rep, path in enumerate(paths):
-        stat = tensor_norm(nll_grad(theta_star, path, link)[1], "inf")
-        rows.append((rep, stat, bound, stat > bound))
-    rate = sum(v for *_, v in rows) / replicates
-    return TrialReport(
-        name="grad_bound",
-        rows=tuple(rows),
-        rate=rate,
-        bound_rate=dim ** (1.0 - c1 / 2.0),
-    )
+    paths = simulate_batch(theta_star, link, n, child_seeds(seed, replicates), burn_in=burn_in)
+    stats = [tensor_norm(nll_grad(theta_star, path, link)[1], "inf") for path in paths]
+    return _tail_report("grad_bound", stats, bound, dim ** (1.0 - c1 / 2.0))
 
 
 def rsc_probe(
@@ -275,7 +273,7 @@ def concentration_trial(
         raise ValueError("theta_star and delta shapes differ")
     # seeds[0] belongs to the fallback reference run, so replicate seeds
     # do not depend on which way the mean is taken
-    seeds = _spawn_seeds(seed, replicates + 1)
+    seeds = child_seeds(seed, replicates + 1)
     if theta_star.n_rows * theta_star.n_lags <= EXACT_MEAN_MAX_BITS:
         e_mean = stationary_quad_form(delta, theta_star, link)
     else:
@@ -283,15 +281,7 @@ def concentration_trial(
         mega = simulate(theta_star, link, n_ref, burn_in=burn_in, seed=seeds[0])
         e_mean = quad_form(delta, mega, link)
     threshold = t * tensor_norm(delta, "211") ** 2
-    rows = []
-    for rep, path in enumerate(simulate_batch(theta_star, link, n, seeds[1:], burn_in=burn_in)):
-        dev = abs(quad_form(delta, path, link) - e_mean)
-        rows.append((rep, dev, threshold, dev > threshold))
-    rate = sum(v for *_, v in rows) / replicates
+    paths = simulate_batch(theta_star, link, n, seeds[1:], burn_in=burn_in)
+    devs = [abs(quad_form(delta, path, link) - e_mean) for path in paths]
     g = concentration_constant(theta_star, link)
-    return TrialReport(
-        name="concentration",
-        rows=tuple(rows),
-        rate=rate,
-        bound_rate=2.0 * math.exp(-n * t * t / g),
-    )
+    return _tail_report("concentration", devs, threshold, 2.0 * math.exp(-n * t * t / g))

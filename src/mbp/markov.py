@@ -9,11 +9,11 @@ relies on.
 
 Everything here reads one table, the draw probabilities of each of the
 2^(N p) lag windows (``_window_probs``). The kernel scatters its block
-probabilities into rows. The p-step kernel is not a matrix power: at most
-one path of p steps joins two windows, so it is the product of the table
-entries along that path. The mixing coefficients and the KL chain rule
-enumerate paths from all start windows at once, as arrays indexed by
-(start, path), so no Python loop runs over start states or state pairs.
+probabilities into rows. Every path law, the p-step kernel among them, is
+built by ``_path_law`` for all start windows at once, as an array indexed
+by (start, path), so no Python loop runs over start states or state pairs.
+At most one path of p steps joins two windows, so the p-step kernel is no
+matrix power. Each enumeration first checks its size with ``_check_bits``.
 
 State encoding (fixed): a block over {0,1}^N with p lags is the integer whose
 bit (u * N + i) holds coordinate i of the state u lags back, u = 0 being the
@@ -64,15 +64,10 @@ class ResourceLimitError(ValueError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Row-stochastic one-step kernel of the p-block chain."""
+    """Row-stochastic one-step kernel of the p-block chain, (S, S) with
+    S = 2^(N p), indexed by the state encoding; its tensor gives N and p."""
 
     probs: np.ndarray
-    n_dims: int
-    n_lags: int
-
-    @property
-    def state_bits(self) -> int:
-        return self.n_dims * self.n_lags
 
     @property
     def n_states(self) -> int:
@@ -127,22 +122,25 @@ def _extend_paths(law: np.ndarray, block_probs: np.ndarray) -> np.ndarray:
     return new
 
 
-def _p_step_kernel(block_probs: np.ndarray, n_lags: int) -> np.ndarray:
-    """P^p in state order, by path products: at most one path of p steps joins
-    two windows, and its entry multiplies the one-step probabilities along it
-    left to right, as ``np.linalg.matrix_power`` does for p <= 3 (for larger
-    p it pairs them otherwise, and may differ in the last few bits)."""
+def _path_law(block_probs: np.ndarray, steps: int) -> np.ndarray:
+    """(S, 2^(N steps)) weights of the paths of ``steps`` blocks from each
+    start window, newest block in the low bits. At steps = p this is P^p:
+    at most one path of p steps joins two windows, and its entry multiplies
+    the one-step probabilities along it left to right, as
+    ``np.linalg.matrix_power`` does for p <= 3 (for larger p it pairs them
+    otherwise, and may differ in the last few bits)."""
     law = np.ones((block_probs.shape[0], 1))
-    for _ in range(n_lags):
+    for _ in range(steps):
         law = _extend_paths(law, block_probs)
     return law
 
 
-def _check_kernel_size(theta: ParamTensor, cap: int = MAX_KERNEL_BITS) -> None:
+def _check_bits(theta: ParamTensor, bits: int, cap: int) -> None:
+    """Refuse a non-square tensor, then an enumeration over more than ``cap`` bits."""
     if not theta.is_square:
         raise ValueError("process tensor must be square")
-    if theta.n_rows * theta.n_lags > cap:
-        raise ResourceLimitError(f"{theta.n_rows * theta.n_lags} state bits exceed the cap {cap}")
+    if bits > cap:
+        raise ResourceLimitError(f"enumeration over {bits} bits exceeds the cap {cap}")
 
 
 def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
@@ -152,7 +150,7 @@ def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
     entries: the new state keeps the previous blocks shifted one lag back,
     so transitions violating the shift constraint have probability zero.
     """
-    _check_kernel_size(theta)
+    _check_bits(theta, theta.n_rows * theta.n_lags, MAX_KERNEL_BITS)
     block_probs = _window_probs(theta, link)[1]
     n_states = block_probs.shape[0]
     n_kept = n_states // block_probs.shape[1]
@@ -161,7 +159,7 @@ def build_kernel(theta: ParamTensor, link: LinkSpec) -> KernelMatrix:
     kernel = np.zeros((n_states, n_states))
     rows = np.arange(n_states)
     kernel.reshape(n_states, n_kept, -1)[rows, rows % n_kept] = block_probs
-    return KernelMatrix(probs=kernel, n_dims=theta.n_rows, n_lags=theta.n_lags)
+    return KernelMatrix(probs=kernel)
 
 
 def stationary_law(kernel: KernelMatrix) -> np.ndarray:
@@ -191,14 +189,13 @@ def dobrushin_coefficient(kernel) -> float:
     equals that scan's bit for bit. With all distances equal (a permutation
     matrix) nothing prunes, and the cost is the full scan's plus the pivots'.
     """
-    P = kernel.probs if isinstance(kernel, KernelMatrix) else np.asarray(kernel, float)
+    P = np.ascontiguousarray(kernel, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("kernel must be a square matrix")
     if not np.isfinite(P).all():
         raise ValueError("kernel has non-finite entries")
     if P.min() < -1e-12 or np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("kernel is not row-stochastic")
-    P = np.ascontiguousarray(P)
     pivot_dist = _pivot_distances(P)
     worst = float(pivot_dist.max())
     for i in range(P.shape[0] - 1):
@@ -239,11 +236,12 @@ class ContractionCheck:
 def contraction_check(theta: ParamTensor, link: LinkSpec) -> ContractionCheck:
     """Verify that the p-step chain contracts at least as fast as the mixing norm.
 
-    Builds the p-step kernel exactly by path products (``_p_step_kernel``),
-    without the one-step kernel, and checks tau1 <= mixing_norm(theta) + 1e-10.
+    Builds the p-step kernel exactly as the law of p-step paths
+    (``_path_law``), without the one-step kernel, and checks
+    tau1 <= mixing_norm(theta) + 1e-10.
     """
-    _check_kernel_size(theta)
-    tau1 = dobrushin_coefficient(_p_step_kernel(_window_probs(theta, link)[1], theta.n_lags))
+    _check_bits(theta, theta.n_rows * theta.n_lags, MAX_KERNEL_BITS)
+    tau1 = dobrushin_coefficient(_path_law(_window_probs(theta, link)[1], theta.n_lags))
     m = mixing_norm(theta, link)
     return ContractionCheck(tau1_p_step=tau1, mixing_norm_value=m, holds=tau1 <= m + 1e-10)
 
@@ -251,14 +249,6 @@ def contraction_check(theta: ParamTensor, link: LinkSpec) -> ContractionCheck:
 # ---------------------------------------------------------------------------
 # exact mixing coefficients by path enumeration
 # ---------------------------------------------------------------------------
-
-
-def _check_enum_budget(n_dims: int, n_lags: int, n: int) -> None:
-    bits = n_dims * (n + n_lags)
-    if bits > MAX_ENUM_BITS:
-        raise ResourceLimitError(
-            f"enumeration needs {bits} joint bits, cap is {MAX_ENUM_BITS}"
-        )
 
 
 def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarray:
@@ -270,9 +260,8 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     started from. Entry [k-1, l-1] of the returned (n, n) array; zero below
     the diagonal, and eta[k, k] = 1 by the point-mass convention.
 
-    The path laws of all 2^(N p) starts are built together by n calls to
-    ``_extend_paths``, one step at a time from the block probabilities of
-    ``_window_probs``, then turned around so that row z of the
+    The laws of the n-step paths of all 2^(N p) starts are built together
+    (``_path_law``), then turned around so that row z of the
     (S, 2^(N n)) law holds the paths started from window z with step t in
     bits [(t-1) N, t N). The maxima over prefixes, pairs and starts are taken
     over whole arrays. Each sum runs over the same axis, in the same order, as
@@ -281,14 +270,12 @@ def mixing_coefficients(theta: ParamTensor, link: LinkSpec, n: int) -> np.ndarra
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    n_dims, p = theta.n_rows, theta.n_lags
-    _check_enum_budget(n_dims, p, n)
+    n_dims = theta.n_rows
+    _check_bits(theta, n_dims * (n + theta.n_lags), MAX_ENUM_BITS)
     _, block_probs = _window_probs(theta, link)
     n_states, block = block_probs.shape
-    law = np.ones((n_states, 1))
-    for _ in range(n):
-        law = _extend_paths(law, block_probs)
-    # _extend_paths puts the newest step in the low bits: reverse the steps
+    law = _path_law(block_probs, n)
+    # _path_law puts the newest step in the low bits: reverse the steps
     steps = law.reshape((n_states,) + (block,) * n).transpose(0, *range(n, 0, -1))
     law = steps.reshape(n_states, -1)
     eta = np.eye(n)
@@ -342,7 +329,7 @@ def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecompositio
     """KL between p-block laws started from every pair of histories, both ways.
 
     ``lhs[z, y]`` is the exact divergence between the next-block laws from z
-    and y, rows of the p-step kernel (``_p_step_kernel``), summed over one
+    and y, rows of the p-step kernel (``_path_law``), summed over one
     row exactly as for a single pair. ``rhs[z, y]`` accumulates, step by step,
     the expected one-step divergences along hybrid histories whose sampled
     part follows the law from z; the two agree to 1e-10 for any p-Markov chain.
@@ -356,9 +343,9 @@ def kl_chain_decomposition(theta: ParamTensor, link: LinkSpec) -> KlDecompositio
     sums in another order than a pair-by-pair recursion and may differ from
     it in the last bits (1e-15 on small chains).
     """
-    _check_kernel_size(theta, MAX_KL_BITS)
+    _check_bits(theta, theta.n_rows * theta.n_lags, MAX_KL_BITS)
     probs_one, block_probs = _window_probs(theta, link)
-    p_step = _p_step_kernel(block_probs, theta.n_lags)
+    p_step = _path_law(block_probs, theta.n_lags)
     n_states = block_probs.shape[0]
     lhs = np.empty((n_states, n_states))
     # start rows per pass, so that a pass's (rows, S, S) temporaries stay near 8 MB

@@ -23,6 +23,7 @@ from .tensor import ParamTensor, stack_tensor
 
 __all__ = [
     "SamplePath",
+    "child_seeds",
     "simulate",
     "simulate_batch",
     "design_matrix",
@@ -47,7 +48,8 @@ class SamplePath:
     """Binary observations of shape (n + p, N); the first p rows are history.
 
     ``seed`` records the RNG seed the path was drawn with (or -1 for paths
-    assembled from external data).
+    assembled from external data). ``data`` is a read-only view: C-contiguous
+    uint8 input is shared, not copied, and the caller's array stays writable.
     """
 
     data: np.ndarray
@@ -63,7 +65,7 @@ class SamplePath:
         uint8 = arr.dtype == np.uint8
         if arr.size and not (arr.max() <= 1 if uint8 else np.array_equal(arr, arr != 0)):
             raise ValueError("path entries must be 0/1")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(arr, dtype=np.uint8).view()
         if self.n_lags < 1:
             raise ValueError("n_lags must be positive")
         if arr.shape[0] <= self.n_lags:
@@ -87,6 +89,13 @@ class SamplePath:
 
     def samples(self) -> np.ndarray:
         return self.data[self.n_lags :]
+
+
+def child_seeds(seed: int, count: int, key=()) -> list[int]:
+    """The first uint64 of each of ``count`` children of the seed sequence of
+    ``seed`` at spawn ``key``: seed i depends on (seed, key, i) alone."""
+    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
 
 
 def simulate(

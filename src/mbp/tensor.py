@@ -35,14 +35,15 @@ __all__ = [
 class ParamTensor:
     """Dense real interaction tensor of shape (n_rows, n_cols, n_lags).
 
-    The array is coerced to float64, C-contiguous, and frozen (read-only)
-    so values can be shared across threads. All entries must be finite.
+    The array is coerced to C-contiguous float64 and held as a read-only view:
+    C-contiguous float64 input is shared with the caller, not copied, and the
+    caller's array stays writable. All entries must be finite.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
+        arr = np.ascontiguousarray(self.values, dtype=np.float64).view()
         if arr.ndim != 3:
             raise ValueError(f"tensor must be 3-dimensional, got shape {arr.shape}")
         if arr.size == 0:

@@ -24,7 +24,7 @@ from mbp.link import sigmoid_link
 from mbp.markov import (
     DOBRUSHIN_PIVOTS,
     ResourceLimitError,
-    _p_step_kernel,
+    _path_law,
     _window_probs,
     build_kernel,
     contraction_check,
@@ -75,6 +75,21 @@ class TestBuildKernel:
         assert np.array_equal(hist, [[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "enumeration",
+    [
+        build_kernel,
+        contraction_check,
+        kl_chain_decomposition,
+        functools.partial(mixing_coefficients, n=2),
+    ],
+    ids=["build_kernel", "contraction_check", "kl_chain_decomposition", "mixing_coefficients"],
+)
+def test_every_enumeration_refuses_a_non_square_tensor(enumeration):
+    with pytest.raises(ValueError, match="square"):
+        enumeration(ParamTensor.zeros(1, 2, 1), LINK)
+
+
 # (N, p) from one state bit up to the 1024 states of the diagnose workload
 TABLE_SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (5, 2), (3, 3), (10, 1), (1, 4), (2, 5), (1, 10)]
 # weight scales: predictors well inside the clamp-free band up to far past it
@@ -83,7 +98,7 @@ TABLE_SCALES = [0.1, 1.0, 4.0]
 
 def p_step_kernel(theta):
     """P^p as contraction_check and kl_chain_decomposition build it."""
-    return _p_step_kernel(_window_probs(theta, LINK)[1], theta.n_lags)
+    return _path_law(_window_probs(theta, LINK)[1], theta.n_lags)
 
 
 def ulp_gap(a, b):

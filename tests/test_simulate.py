@@ -15,6 +15,7 @@ from mbp import _kernels
 from mbp.link import sigmoid_link
 from mbp.simulate import (
     SamplePath,
+    child_seeds,
     design_matrix,
     random_sparse_theta,
     read_path,
@@ -522,3 +523,30 @@ class TestSamplePathValidation:
     def test_rejects_too_few_rows(self):
         with pytest.raises(ValueError):
             SamplePath(data=np.zeros((2, 2)), n_lags=2)
+
+    def test_caller_array_stays_writable(self):
+        # C-contiguous uint8 input is shared with the path, not copied
+        a = np.zeros((3, 2), dtype=np.uint8)
+        path = SamplePath(data=a, n_lags=1)
+        assert a.flags.writeable and not path.data.flags.writeable
+        a[0, 0] = 1
+        assert path.data[0, 0] == 1
+
+
+def first_words(seed_sequence, count):
+    return [int(c.generate_state(1, np.uint64)[0]) for c in seed_sequence.spawn(count)]
+
+
+class TestChildSeeds:
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_trial_derivation(self, seed):
+        # grad_bound_trial and concentration_trial: children of the trial seed
+        expected = first_words(np.random.SeedSequence(seed), 7)
+        assert child_seeds(seed, 7) == expected
+
+    @pytest.mark.parametrize("seed, key", [(0, (10, 500, 0)), (7, (200, 4490, 9)), (2**33, (1, 2, 3))])
+    def test_sweep_derivation(self, seed, key):
+        # a sweep replicate's (theta seed, path seed) at key (s, n, replicate)
+        expected = first_words(np.random.SeedSequence(seed, spawn_key=key), 2)
+        assert child_seeds(seed, 2, key=key) == expected
+        assert child_seeds(seed, 2, key=key) != child_seeds(seed, 2)

@@ -37,6 +37,14 @@ class TestParamTensor:
         with pytest.raises(ValueError):
             t.values[0, 0, 0] = 1.0
 
+    def test_caller_array_stays_writable(self):
+        # C-contiguous float64 input is shared with the tensor, not copied
+        a = np.zeros((2, 2, 1))
+        t = ParamTensor(a)
+        assert a.flags.writeable and not t.values.flags.writeable
+        a[0, 0, 0] = 1.0
+        assert t.values[0, 0, 0] == 1.0
+
     def test_shape_properties(self):
         t = ParamTensor.zeros(3, 4, 2)
         assert (t.n_rows, t.n_cols, t.n_lags, t.n_entries) == (3, 4, 2, 24)
